@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -22,8 +23,12 @@ class JsonValue {
 
   JsonValue() = default;  // null
 
+  /// Deepest array/object nesting parse() accepts (the parser recurses per
+  /// level; one hostile line must not overflow the stack).
+  static constexpr std::size_t kMaxDepth = 256;
+
   /// Parse a complete document; throws util::InvalidArgument on malformed
-  /// input or trailing garbage.
+  /// input, trailing garbage, or nesting deeper than kMaxDepth.
   static JsonValue parse(std::string_view text);
 
   Kind kind() const noexcept { return kind_; }

@@ -1,69 +1,18 @@
 #include "router/backend_pool.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "util/error.hpp"
 
 namespace qulrb::router {
 
-std::vector<BackendAddress> parse_backend_list(const std::string& csv) {
-  std::vector<BackendAddress> out;
-  std::size_t start = 0;
-  while (start <= csv.size()) {
-    std::size_t comma = csv.find(',', start);
-    if (comma == std::string::npos) comma = csv.size();
-    const std::string item = csv.substr(start, comma - start);
-    start = comma + 1;
-    if (item.empty()) continue;
-    BackendAddress addr;
-    const std::size_t colon = item.rfind(':');
-    try {
-      if (colon == std::string::npos) {
-        addr.port = std::stoi(item);
-      } else {
-        addr.host = item.substr(0, colon);
-        addr.port = std::stoi(item.substr(colon + 1));
-      }
-    } catch (const std::exception&) {
-      throw util::InvalidArgument("bad backend '" + item +
-                                  "' (want PORT or HOST:PORT)");
-    }
-    util::require(addr.port > 0 && addr.port < 65536,
-                  "bad backend port in '" + item + "'");
-    out.push_back(std::move(addr));
-  }
-  util::require(!out.empty(), "backend list is empty");
-  return out;
-}
-
 namespace {
 
-/// Write the whole line + newline; retries EINTR, treats a send timeout the
-/// same as a dead peer. Returns false on any unrecoverable failure.
-bool send_all(int fd, const std::string& line) {
-  std::string framed = line;
-  framed.push_back('\n');
-  std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n =
-        ::send(fd, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;  // EPIPE, timeout (EAGAIN with SO_SNDTIMEO), EBADF, ...
-    }
-    if (n == 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
+/// Reader threads wake this often to check the stop and health flags.
+constexpr double kReaderPollMs = 100.0;
 
 }  // namespace
 
@@ -72,7 +21,7 @@ BackendPool::BackendPool(Params params, obs::MetricsRegistry& registry)
   util::require(!params_.backends.empty(), "BackendPool: no backends");
   using Labels = obs::MetricsRegistry::Labels;
   backends_.reserve(params_.backends.size());
-  for (const BackendAddress& addr : params_.backends) {
+  for (const net::BackendAddress& addr : params_.backends) {
     auto b = std::make_unique<Backend>();
     b->addr = addr;
     const Labels labels{{"backend", addr.label()}};
@@ -124,34 +73,12 @@ bool BackendPool::connect_backend(std::size_t b) {
   Backend& backend = *backends_[b];
   backend.last_attempt = std::chrono::steady_clock::now();
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   // A backend that stops reading must not wedge the router's client
   // sessions: bound the send side, and bound recv so the reader thread can
   // poll the stop flag.
-  struct timeval send_tv;
-  send_tv.tv_sec = static_cast<time_t>(params_.send_timeout_ms / 1000.0);
-  send_tv.tv_usec = static_cast<suseconds_t>(
-      static_cast<long>(params_.send_timeout_ms * 1000.0) % 1000000);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_tv, sizeof(send_tv));
-  struct timeval recv_tv;
-  recv_tv.tv_sec = 0;
-  recv_tv.tv_usec = 100 * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_tv, sizeof(recv_tv));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(backend.addr.port));
-  if (::inet_pton(AF_INET, backend.addr.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    return false;
-  }
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return false;
-  }
+  const int fd = net::connect_tcp(backend.addr, kReaderPollMs,
+                                  params_.send_timeout_ms);
+  if (fd < 0) return false;
 
   // The previous reader (if any) exited when its connection died; reap it
   // before handing the slot a new thread.
@@ -204,7 +131,7 @@ bool BackendPool::send(std::size_t backend_idx, const std::string& line) {
     gen = backend.conn_gen.load(std::memory_order_relaxed);
     const int fd = backend.fd.load(std::memory_order_acquire);
     if (fd < 0) return false;
-    sent = send_all(fd, line);
+    sent = net::send_line(fd, line);
   }
   // The down-path runs with no write_mutex held: on_down_ re-forwards this
   // backend's orphaned routes through send() to OTHER backends, so two
@@ -235,7 +162,7 @@ bool BackendPool::send_control(std::size_t backend_idx, const std::string& line,
       token = backend.next_control_token++;
       backend.control_waiters.push_back({token, std::move(callback)});
     }
-    sent = send_all(fd, line);
+    sent = net::send_line(fd, line);
   }
   if (sent) return true;
   // Nothing will answer; withdraw exactly our waiter by token (mark_down may
@@ -257,47 +184,36 @@ bool BackendPool::send_control(std::size_t backend_idx, const std::string& line,
 
 void BackendPool::reader_loop(std::size_t b, int fd, std::uint64_t gen) {
   Backend& backend = *backends_[b];
-  std::string buffer;
-  char chunk[4096];
+  // Uncapped: flight and profile replies grow with the backend's rings.
+  net::LineReader reader(fd);
+  std::string line;
   while (!stopping_.load(std::memory_order_relaxed) &&
          backend.healthy.load(std::memory_order_acquire)) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      break;
+    const net::LineReader::Status status = reader.next(line);
+    if (status == net::LineReader::Status::kTimeout) continue;
+    if (status != net::LineReader::Status::kLine) break;  // backend closed
+    io::JsonValue doc;
+    try {
+      doc = io::JsonValue::parse(line);
+    } catch (const std::exception&) {
+      continue;  // a torn line means the stream is sick, but keep reading
     }
-    if (n == 0) break;  // backend closed
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
-         nl = buffer.find('\n', start)) {
-      const std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
-      if (line.empty()) continue;
-      io::JsonValue doc;
-      try {
-        doc = io::JsonValue::parse(line);
-      } catch (const std::exception&) {
-        continue;  // a torn line means the stream is sick, but keep reading
-      }
-      if (doc.find("stats") != nullptr || doc.find("metrics") != nullptr ||
-          doc.find("traces") != nullptr || doc.find("obs") != nullptr ||
-          doc.find("flight") != nullptr || doc.find("profile") != nullptr) {
-        // Control responses come back in send order on this connection.
-        ControlCallback cb;
-        {
-          std::lock_guard<std::mutex> lock(backend.control_mutex);
-          if (!backend.control_waiters.empty()) {
-            cb = std::move(backend.control_waiters.front().callback);
-            backend.control_waiters.pop_front();
-          }
+    if (doc.find("stats") != nullptr || doc.find("metrics") != nullptr ||
+        doc.find("traces") != nullptr || doc.find("obs") != nullptr ||
+        doc.find("flight") != nullptr || doc.find("profile") != nullptr) {
+      // Control responses come back in send order on this connection.
+      ControlCallback cb;
+      {
+        std::lock_guard<std::mutex> lock(backend.control_mutex);
+        if (!backend.control_waiters.empty()) {
+          cb = std::move(backend.control_waiters.front().callback);
+          backend.control_waiters.pop_front();
         }
-        if (cb) cb(&line, &doc);
-      } else if (on_line_) {
-        on_line_(b, line, doc);
       }
+      if (cb) cb(&line, &doc);
+    } else if (on_line_) {
+      on_line_(b, line, doc);
     }
-    buffer.erase(0, start);
   }
   if (!stopping_.load(std::memory_order_relaxed)) mark_down(b, gen);
 }

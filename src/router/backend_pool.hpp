@@ -12,20 +12,11 @@
 #include <vector>
 
 #include "io/json_value.hpp"
+#include "net/net.hpp"
 #include "obs/metrics.hpp"
 #include "router/policy.hpp"
 
 namespace qulrb::router {
-
-struct BackendAddress {
-  std::string host = "127.0.0.1";
-  int port = 0;
-
-  std::string label() const { return host + ":" + std::to_string(port); }
-};
-
-/// Parse "7471,7472" or "host:7471,host:7472" (forms may mix).
-std::vector<BackendAddress> parse_backend_list(const std::string& csv);
 
 /// Persistent connections to N qulrb_serve backends: one socket per backend,
 /// a reader thread per live connection, a maintenance thread that probes
@@ -42,7 +33,7 @@ std::vector<BackendAddress> parse_backend_list(const std::string& csv);
 class BackendPool {
  public:
   struct Params {
-    std::vector<BackendAddress> backends;
+    std::vector<net::BackendAddress> backends;
     double probe_interval_ms = 50.0;   ///< health/stats probe cadence
     double reconnect_ms = 200.0;       ///< retry cadence for down backends
     double send_timeout_ms = 2000.0;   ///< SO_SNDTIMEO toward a backend
@@ -76,7 +67,7 @@ class BackendPool {
   void stop();
 
   std::size_t size() const noexcept { return backends_.size(); }
-  const BackendAddress& address(std::size_t b) const {
+  const net::BackendAddress& address(std::size_t b) const {
     return backends_[b]->addr;
   }
 
@@ -117,7 +108,7 @@ class BackendPool {
   };
 
   struct Backend {
-    BackendAddress addr;
+    net::BackendAddress addr;
     std::atomic<int> fd{-1};
     std::atomic<bool> healthy{false};
     /// Bumped by every successful (re)connect. Failure observers carry the

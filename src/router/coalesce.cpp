@@ -83,8 +83,8 @@ std::uint64_t Coalescer::coalesced_total() const {
   return coalesced_;
 }
 
-std::string rewrite_response_id(const std::string& line, std::uint64_t id) {
-  // Scan for the top-level `"id"` key: depth-1 position, outside strings.
+std::size_t top_level_value(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
   int depth = 0;
   bool in_string = false;
   bool escaped = false;
@@ -106,21 +106,25 @@ std::string rewrite_response_id(const std::string& line, std::uint64_t id) {
       case '"': break;  // a key or string value starts
       default: continue;
     }
-    // At a quote outside a string. Only keys at depth 1 can be the id field.
-    if (depth != 1 || line.compare(i, 5, "\"id\":") != 0) {
-      in_string = true;  // consume as an ordinary string
-      continue;
+    // At a quote outside a string. Only keys at depth 1 can match.
+    if (depth == 1 && line.compare(i, needle.size(), needle) == 0) {
+      return i + needle.size();
     }
-    std::size_t start = i + 5;
-    std::size_t end = start;
-    while (end < line.size() &&
-           (std::isdigit(static_cast<unsigned char>(line[end])) ||
-            line[end] == '-')) {
-      ++end;
-    }
-    return line.substr(0, start) + std::to_string(id) + line.substr(end);
+    in_string = true;  // some other key or string value; skip it
   }
-  return line;
+  return std::string::npos;
+}
+
+std::string rewrite_response_id(const std::string& line, std::uint64_t id) {
+  const std::size_t start = top_level_value(line, "id");
+  if (start == std::string::npos) return line;
+  std::size_t end = start;
+  while (end < line.size() &&
+         (std::isdigit(static_cast<unsigned char>(line[end])) ||
+          line[end] == '-')) {
+    ++end;
+  }
+  return line.substr(0, start) + std::to_string(id) + line.substr(end);
 }
 
 }  // namespace qulrb::router

@@ -88,4 +88,9 @@ class Coalescer {
 /// id, without reparsing the whole document per waiter.
 std::string rewrite_response_id(const std::string& line, std::uint64_t id);
 
+/// Offset just past `"key":` where it is a key of the top-level object
+/// (depth 1, outside strings), or std::string::npos. The one scanner behind
+/// rewrite_response_id and extract_raw_field.
+std::size_t top_level_value(const std::string& line, const std::string& key);
+
 }  // namespace qulrb::router

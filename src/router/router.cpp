@@ -22,71 +22,43 @@ std::string cancel_line(std::uint64_t group) {
 }  // namespace
 
 std::string extract_raw_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  int depth = 0;
-  bool in_string = false;
-  bool escaped = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    switch (c) {
-      case '{': case '[': ++depth; continue;
-      case '}': case ']': --depth; continue;
-      case '"': break;
-      default: continue;
-    }
-    if (depth != 1 || line.compare(i, needle.size(), needle) != 0) {
-      in_string = true;  // some other key or string value; skip it
-      continue;
-    }
-    const std::size_t start = i + needle.size();
-    if (start >= line.size()) return "";
-    const char v = line[start];
-    if (v == '{' || v == '[') {
-      int d = 0;
-      bool ins = false;
-      bool esc = false;
-      for (std::size_t j = start; j < line.size(); ++j) {
-        const char cc = line[j];
-        if (ins) {
-          if (esc) esc = false;
-          else if (cc == '\\') esc = true;
-          else if (cc == '"') ins = false;
-          continue;
-        }
-        if (cc == '"') { ins = true; continue; }
-        if (cc == '{' || cc == '[') {
-          ++d;
-        } else if (cc == '}' || cc == ']') {
-          if (--d == 0) return line.substr(start, j - start + 1);
-        }
-      }
-      return "";  // unbalanced
-    }
-    if (v == '"') {
-      bool esc = false;
-      for (std::size_t j = start + 1; j < line.size(); ++j) {
-        const char cc = line[j];
+  const std::size_t start = top_level_value(line, key);
+  if (start >= line.size()) return "";  // absent, or nothing after the key
+  const char v = line[start];
+  if (v == '{' || v == '[') {
+    int d = 0;
+    bool ins = false;
+    bool esc = false;
+    for (std::size_t j = start; j < line.size(); ++j) {
+      const char cc = line[j];
+      if (ins) {
         if (esc) esc = false;
         else if (cc == '\\') esc = true;
-        else if (cc == '"') return line.substr(start, j - start + 1);
+        else if (cc == '"') ins = false;
+        continue;
       }
-      return "";
+      if (cc == '"') { ins = true; continue; }
+      if (cc == '{' || cc == '[') {
+        ++d;
+      } else if (cc == '}' || cc == ']') {
+        if (--d == 0) return line.substr(start, j - start + 1);
+      }
     }
-    std::size_t j = start;  // bare scalar: number / true / false / null
-    while (j < line.size() && line[j] != ',' && line[j] != '}') ++j;
-    return line.substr(start, j - start);
+    return "";  // unbalanced
   }
-  return "";
+  if (v == '"') {
+    bool esc = false;
+    for (std::size_t j = start + 1; j < line.size(); ++j) {
+      const char cc = line[j];
+      if (esc) esc = false;
+      else if (cc == '\\') esc = true;
+      else if (cc == '"') return line.substr(start, j - start + 1);
+    }
+    return "";
+  }
+  std::size_t j = start;  // bare scalar: number / true / false / null
+  while (j < line.size() && line[j] != ',' && line[j] != '}') ++j;
+  return line.substr(start, j - start);
 }
 
 std::uint64_t Router::topology_hash(const service::RebalanceRequest& request) {

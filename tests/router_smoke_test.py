@@ -10,7 +10,9 @@ Exercises the full identity chain the router promises:
     document for the routed request, including the router-admission span —
     one routed request, one correlated trace;
   - killing a backend mid-fleet fails over: the next solve is still
-    answered, and the fleet stats show one healthy backend left.
+    answered, and the fleet stats show one healthy backend left;
+  - hostile client lines (200 000-deep nesting, a line over the 1 MiB cap)
+    are answered with errors and the router keeps serving.
 
 Usage: router_smoke_test.py <qulrb_serve> <qulrb_router> <base-port>
 """
@@ -45,6 +47,32 @@ def ask(port, line):
         return json.loads(s.makefile("rb").readline())
     finally:
         s.close()
+
+
+# One byte over the router's request-line cap (net::kMaxRequestLine).
+MAX_LINE = 1 << 20
+
+
+def survive_hostile_lines(port):
+    """Deep nesting is a parse error on a live connection; an over-long line
+    is answered and the connection closes. Either way the router answers
+    health and stats afterwards."""
+    s = connect(port)
+    f = s.makefile("rb")
+    s.sendall(b"[" * 200000 + b"]" * 200000 + b"\n")
+    doc = json.loads(f.readline())
+    assert "error" in doc and "nesting" in doc["error"], doc
+    s.close()
+    assert ask(port, '{"op":"health"}\n')["stats"]["role"] == "router"
+
+    s = connect(port)
+    f = s.makefile("rb")
+    s.sendall(b"x" * (MAX_LINE + 1))
+    doc = json.loads(f.readline())
+    assert doc.get("error") == "line too long", doc
+    assert f.readline() == b"", "connection stayed open"
+    s.close()
+    assert ask(port, '{"op":"stats"}\n')["stats"]["healthy"] == 2
 
 
 def wait_for(predicate, what, attempts=100):
@@ -85,6 +113,8 @@ def main():
             lambda: ask(front, '{"op":"stats"}\n')["stats"]["healthy"] == 2,
             "both backends healthy",
         )
+
+        survive_hostile_lines(front)
 
         # Routed solve answers on the client's own correlation id.
         doc = ask(front, SOLVE % 5)
@@ -143,7 +173,8 @@ def main():
         s.sendall(b'{"op":"shutdown"}\n')
         s.close()
         assert procs[1].wait(timeout=20) == 0, "backend exited non-zero"
-        print("ok: routed solve, fleet stats, correlated trace, failover")
+        print("ok: routed solve, fleet stats, correlated trace, failover, "
+              "hostile lines")
         return 0
     finally:
         for p in procs:

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "io/json_value.hpp"
 #include "util/error.hpp"
 
@@ -68,6 +70,33 @@ TEST(JsonValue, LenientAccessorsFallBack) {
   EXPECT_THROW(doc.string_or("n", "fallback"), util::InvalidArgument);
   EXPECT_TRUE(doc.bool_or("b", false));
   EXPECT_FALSE(doc.bool_or("missing", false));
+}
+
+TEST(JsonValue, DeepNestingIsRejectedNotAStackOverflow) {
+  // One hostile request line: 200 000 '[' then 200 000 ']'. Without a depth
+  // cap the recursive parser overflows the stack and kills the process.
+  const std::string deep = std::string(200000, '[') + std::string(200000, ']');
+  EXPECT_THROW(JsonValue::parse(deep), util::InvalidArgument);
+  const std::string objects = [] {
+    std::string s;
+    for (int i = 0; i < 100000; ++i) s += "{\"a\":";
+    return s + "1" + std::string(100000, '}');
+  }();
+  EXPECT_THROW(JsonValue::parse(objects), util::InvalidArgument);
+
+  // The cap itself is exact: kMaxDepth levels parse, one more does not.
+  const std::size_t cap = JsonValue::kMaxDepth;
+  EXPECT_NO_THROW(
+      JsonValue::parse(std::string(cap, '[') + std::string(cap, ']')));
+  EXPECT_THROW(
+      JsonValue::parse(std::string(cap + 1, '[') + std::string(cap + 1, ']')),
+      util::InvalidArgument);
+}
+
+TEST(JsonValue, OutOfRangeIntegersThrow) {
+  const JsonValue doc = JsonValue::parse(R"({"big":1e300,"neg":-1e19})");
+  EXPECT_THROW(doc.find("big")->as_int(), util::InvalidArgument);
+  EXPECT_THROW(doc.int_or("neg", 0), util::InvalidArgument);
 }
 
 TEST(JsonValue, ErrorMessagesCarryOffset) {

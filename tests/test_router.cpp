@@ -34,23 +34,6 @@ TEST(Policy, ParseRoundTripsEveryKind) {
   EXPECT_THROW(parse_policy("fastest"), util::InvalidArgument);
 }
 
-TEST(BackendList, ParsesPortsAndHostPortsMixed) {
-  const auto list = parse_backend_list("7471,localhost:7472,10.0.0.5:80");
-  ASSERT_EQ(list.size(), 3u);
-  EXPECT_EQ(list[0].host, "127.0.0.1");
-  EXPECT_EQ(list[0].port, 7471);
-  EXPECT_EQ(list[1].host, "localhost");
-  EXPECT_EQ(list[1].port, 7472);
-  EXPECT_EQ(list[2].label(), "10.0.0.5:80");
-}
-
-TEST(BackendList, RejectsGarbage) {
-  EXPECT_THROW(parse_backend_list(""), util::InvalidArgument);
-  EXPECT_THROW(parse_backend_list("host:"), util::InvalidArgument);
-  EXPECT_THROW(parse_backend_list("banana"), util::InvalidArgument);
-  EXPECT_THROW(parse_backend_list("70000"), util::InvalidArgument);
-}
-
 // ----------------------------------------------------------- hash ring ----
 
 std::map<std::uint64_t, std::size_t> ring_assignment(
@@ -469,7 +452,7 @@ class SilentBackend {
 TEST(Router, DuplicateInFlightIdIsRejectedNotOverwritten) {
   SilentBackend backend;
   Router::Params params;
-  params.pool.backends = {BackendAddress{"127.0.0.1", backend.port()}};
+  params.pool.backends = {net::BackendAddress{"127.0.0.1", backend.port()}};
   params.policy = PolicyKind::kRoundRobin;
   Router router(params);
   router.start();
@@ -513,7 +496,7 @@ TEST(Router, DuplicateInFlightIdIsRejectedNotOverwritten) {
 
 TEST(Router, HealthAnswersLocallyFromTheProbedView) {
   Router::Params params;
-  params.pool.backends = parse_backend_list("1,2");  // nothing listening
+  params.pool.backends = net::parse_backend_list("1,2");  // nothing listening
   Router router(params);  // deliberately not start()ed: both backends down
   std::vector<std::string> lines;
   const std::uint64_t session = router.register_session(

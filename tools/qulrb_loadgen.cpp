@@ -31,17 +31,12 @@
 // — per-class latency is what the server-side SLO engine pages on, so the
 // client view must be sliced the same way.
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -52,12 +47,12 @@
 
 #include "io/json.hpp"
 #include "io/json_value.hpp"
+#include "net/net.hpp"
 #include "obs/metrics.hpp"
-#include "router/backend_pool.hpp"
-#include "router/policy.hpp"
 #include "service/protocol.hpp"
 #include "service/rebalance_service.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
 
@@ -83,7 +78,7 @@ struct LoadgenOptions {
   std::size_t cache = 16;
   double rate = 0.0;  ///< open-loop requests/sec (in-process only); 0 = closed
   /// TCP servers; client threads spread round-robin. Empty = in-process.
-  std::vector<router::BackendAddress> targets;
+  std::vector<net::BackendAddress> targets;
   /// Priority classes cycled over the request stream (request #seq gets
   /// priority seq % N). 1 = everything priority 0, the old behaviour.
   std::size_t priority_classes = 1;
@@ -109,9 +104,10 @@ std::size_t zipf_topology(const LoadgenOptions& options, std::uint64_t seq) {
     }
     for (double& c : cdf) c /= total;
   }
-  const double u = static_cast<double>(
-                       router::mix64(options.seed * 0x9e37u + seq) >> 11) *
-                   0x1.0p-53;
+  const double u =
+      static_cast<double>(
+          util::SplitMix64(options.seed * 0x9e37u + seq).next() >> 11) *
+      0x1.0p-53;
   for (std::size_t r = 0; r < kTopoUniverse; ++r) {
     if (u <= cdf[r]) return r;
   }
@@ -352,34 +348,59 @@ std::string cache_line_from(const service::ServiceStats& stats) {
          std::to_string(stats.ewma_solve_ms);
 }
 
-int run_inproc_closed(const LoadgenOptions& options) {
+/// In-process run: closed loop (C client threads, one request outstanding
+/// each) or, with --rate, open loop (a fixed arrival rate whatever the
+/// completions do).
+int run_inproc(const LoadgenOptions& options) {
   service::ServiceParams params;
   params.num_workers = options.workers;
   params.cache_capacity = options.cache;
   service::RebalanceService svc(params);
 
   Tally tally(options.priority_classes);
-  std::atomic<std::uint64_t> next_seq{0};
   RunWindow window;
   window.start_ts = unix_now_s();
   util::WallTimer wall;
-  std::vector<std::thread> clients;
-  for (std::size_t c = 0; c < options.concurrency; ++c) {
-    clients.emplace_back([&] {
-      while (true) {
-        const std::uint64_t seq = next_seq.fetch_add(1);
-        if (seq >= options.requests) return;
-        service::RebalanceRequest request = make_request(options, seq);
-        const int priority = request.priority;
-        util::WallTimer timer;
-        auto future = svc.submit(std::move(request));
-        const service::RebalanceResponse response = future.get();
-        tally.record(priority, service::to_string(response.outcome),
-                     timer.elapsed_ms());
-      }
-    });
+  if (options.rate > 0.0) {
+    const auto interval =
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double>(1.0 / options.rate));
+    auto next_tick = std::chrono::steady_clock::now();
+    for (std::uint64_t seq = 0; seq < options.requests; ++seq) {
+      std::this_thread::sleep_until(next_tick);
+      next_tick += interval;
+      const auto submitted = std::chrono::steady_clock::now();
+      service::RebalanceRequest request = make_request(options, seq);
+      const int priority = request.priority;
+      svc.submit(std::move(request), [&tally, submitted, priority](
+                                         service::RebalanceResponse response) {
+        const double ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - submitted)
+                              .count();
+        tally.record(priority, service::to_string(response.outcome), ms);
+      });
+    }
+    svc.drain();
+  } else {
+    std::atomic<std::uint64_t> next_seq{0};
+    std::vector<std::thread> clients;
+    for (std::size_t c = 0; c < options.concurrency; ++c) {
+      clients.emplace_back([&] {
+        while (true) {
+          const std::uint64_t seq = next_seq.fetch_add(1);
+          if (seq >= options.requests) return;
+          service::RebalanceRequest request = make_request(options, seq);
+          const int priority = request.priority;
+          util::WallTimer timer;
+          auto future = svc.submit(std::move(request));
+          const service::RebalanceResponse response = future.get();
+          tally.record(priority, service::to_string(response.outcome),
+                       timer.elapsed_ms());
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
   }
-  for (auto& t : clients) t.join();
   const double seconds = wall.elapsed_seconds();
   window.end_ts = unix_now_s();
   const service::ServiceStats stats = svc.stats();
@@ -394,62 +415,12 @@ int run_inproc_closed(const LoadgenOptions& options) {
   return 0;
 }
 
-int run_inproc_open(const LoadgenOptions& options) {
-  service::ServiceParams params;
-  params.num_workers = options.workers;
-  params.cache_capacity = options.cache;
-  service::RebalanceService svc(params);
-
-  Tally tally(options.priority_classes);
-  RunWindow window;
-  window.start_ts = unix_now_s();
-  util::WallTimer wall;
-  const auto interval = std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-      std::chrono::duration<double>(1.0 / options.rate));
-  auto next_tick = std::chrono::steady_clock::now();
-  for (std::uint64_t seq = 0; seq < options.requests; ++seq) {
-    std::this_thread::sleep_until(next_tick);
-    next_tick += interval;
-    const auto submitted = std::chrono::steady_clock::now();
-    service::RebalanceRequest request = make_request(options, seq);
-    const int priority = request.priority;
-    svc.submit(std::move(request),
-               [&tally, submitted, priority](service::RebalanceResponse response) {
-                 const double ms =
-                     std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - submitted)
-                         .count();
-                 tally.record(priority, service::to_string(response.outcome), ms);
-               });
-  }
-  svc.drain();
-  const double seconds = wall.elapsed_seconds();
-  window.end_ts = unix_now_s();
-  const service::ServiceStats stats = svc.stats();
-  report(tally, seconds, cache_line_from(stats));
-  if (!options.json_out.empty()) {
-    ServerCache cache;
-    cache.add_counts(stats.cache.exact_hits, stats.cache.retarget_hits,
-                     stats.cache.misses);
-    write_json_summary(options.json_out, tally, seconds, options.label, cache,
-                       window);
-  }
-  return 0;
-}
-
-int connect_to(const router::BackendAddress& target) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  util::require(fd >= 0, "loadgen: socket() failed");
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(target.port));
-  util::require(::inet_pton(AF_INET, target.host.c_str(), &addr.sin_addr) == 1,
-                "loadgen: bad host " + target.host);
-  util::require(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
-                "loadgen: connect to " + target.label() +
-                    " failed (is the server running?)");
+/// A blocking connection: loadgen installs no signal handlers and sets no
+/// timeouts, so a read ends only with a line or the server closing.
+int connect_to(const net::BackendAddress& target) {
+  const int fd = net::connect_tcp(target, 0.0, 0.0);
+  util::require(fd >= 0, "loadgen: connect to " + target.label() +
+                             " failed (is the server running?)");
   return fd;
 }
 
@@ -457,24 +428,7 @@ int connect_to(const router::BackendAddress& target) {
 /// coalesces on, so loadgen traffic is coalescible by construction.
 std::string encode_request_line(const LoadgenOptions& options, std::uint64_t seq) {
   return service::encode_solve_request(make_request(options, seq), seq + 1,
-                                       /*include_plan=*/false) +
-         "\n";
-}
-
-/// Read one line from fd into `line` using `buffer` as carry-over.
-bool read_line(int fd, std::string& buffer, std::string& line) {
-  while (true) {
-    const std::size_t nl = buffer.find('\n');
-    if (nl != std::string::npos) {
-      line = buffer.substr(0, nl);
-      buffer.erase(0, nl + 1);
-      return true;
-    }
-    char chunk[4096];
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n <= 0) return false;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-  }
+                                       /*include_plan=*/false);
 }
 
 int run_tcp_closed(const LoadgenOptions& options) {
@@ -487,20 +441,15 @@ int run_tcp_closed(const LoadgenOptions& options) {
   for (std::size_t c = 0; c < options.concurrency; ++c) {
     clients.emplace_back([&, c] {
       const int fd = connect_to(options.targets[c % options.targets.size()]);
-      std::string buffer, line;
+      net::LineReader reader(fd);
+      std::string line;
       while (true) {
         const std::uint64_t seq = next_seq.fetch_add(1);
         if (seq >= options.requests) break;
         const std::string request = encode_request_line(options, seq);
         util::WallTimer timer;
-        std::size_t sent = 0;
-        while (sent < request.size()) {
-          const ssize_t n = ::send(fd, request.data() + sent,
-                                   request.size() - sent, MSG_NOSIGNAL);
-          util::require(n > 0, "loadgen: send() failed");
-          sent += static_cast<std::size_t>(n);
-        }
-        util::require(read_line(fd, buffer, line),
+        util::require(net::send_line(fd, request), "loadgen: send() failed");
+        util::require(reader.next(line) == net::LineReader::Status::kLine,
                       "loadgen: server closed the connection");
         const io::JsonValue response = io::JsonValue::parse(line);
         // Same (seed-free) class mapping make_request used when encoding #seq.
@@ -522,13 +471,13 @@ int run_tcp_closed(const LoadgenOptions& options) {
   // handles both shapes: qulrb_serve answers {"stats":{"cache":{...}}},
   // qulrb_router answers {"stats":{"backend_stats":[{"stats":{...}},...]}}.
   ServerCache cache;
-  for (const router::BackendAddress& target : options.targets) {
+  for (const net::BackendAddress& target : options.targets) {
     try {
       const int fd = connect_to(target);
-      const std::string stats_req = "{\"op\":\"stats\"}\n";
-      (void)!::send(fd, stats_req.data(), stats_req.size(), MSG_NOSIGNAL);
-      std::string buffer, line;
-      if (read_line(fd, buffer, line)) {
+      net::LineReader reader(fd);
+      std::string line;
+      if (net::send_line(fd, "{\"op\":\"stats\"}") &&
+          reader.next(line) == net::LineReader::Status::kLine) {
         const io::JsonValue doc = io::JsonValue::parse(line);
         if (const io::JsonValue* stats = doc.find("stats")) {
           if (const io::JsonValue* c = stats->find("cache")) cache.add(*c);
@@ -606,10 +555,10 @@ int main(int argc, char** argv) {
       else if (arg == "--rate") options.rate = std::stod(next());
       else if (arg == "--connect") {
         options.targets.push_back(
-            router::BackendAddress{"127.0.0.1", std::stoi(next())});
+            net::BackendAddress{"127.0.0.1", std::stoi(next())});
       }
       else if (arg == "--targets")
-        options.targets = router::parse_backend_list(next());
+        options.targets = net::parse_backend_list(next());
       else if (arg == "--priority-classes")
         options.priority_classes = std::stoul(next());
       else if (arg == "--label") options.label = next();
@@ -629,8 +578,7 @@ int main(int argc, char** argv) {
                     "loadgen: --rate is in-process only (use --concurrency)");
       return run_tcp_closed(options);
     }
-    if (options.rate > 0.0) return run_inproc_open(options);
-    return run_inproc_closed(options);
+    return run_inproc(options);
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
     return 3;

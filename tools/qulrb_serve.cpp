@@ -14,7 +14,9 @@
 // line; responses may arrive out of submission order). With --port, accepts
 // TCP connections on 127.0.0.1:P, one protocol session per connection.
 // {"op":"shutdown"} drains all admitted work (queued and running) and stops
-// the whole server.
+// the whole server. A request line over 1 MiB is answered with
+// {"error":"line too long"} and ends its session; JSON nested deeper than
+// 256 levels is an ordinary parse error (src/net/net.hpp).
 //
 // SIGINT/SIGTERM take a faster graceful path: the queue is shed (each
 // pending request answered kCancelled), running solves finish, and the final
@@ -25,29 +27,21 @@
 //
 // See src/service/protocol.hpp for the line format.
 
-#include <arpa/inet.h>
-#include <csignal>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
-#include <cerrno>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "anneal/simd.hpp"
 #include "io/json.hpp"
+#include "net/net.hpp"
 #include "obs/build_info.hpp"
 #include "obs/event_log.hpp"
 #include "obs/flight_recorder.hpp"
@@ -62,29 +56,6 @@
 namespace {
 
 using namespace qulrb;
-
-/// Written by the signal handler, polled by every accept/read loop. A plain
-/// volatile sig_atomic_t is the only thing a handler may portably touch.
-volatile std::sig_atomic_t g_signal = 0;
-
-extern "C" void on_signal(int signum) { g_signal = signum; }
-
-void install_signal_handlers() {
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sa_handler = on_signal;
-  sigemptyset(&sa.sa_mask);
-  sa.sa_flags = 0;  // deliberately no SA_RESTART: blocking reads must EINTR
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::sigaction(SIGTERM, &sa, nullptr);
-  // A client that closes (or half-closes) its socket while a response is in
-  // flight must surface as EPIPE from send(), not kill the server. send()
-  // also passes MSG_NOSIGNAL, but the signal disposition covers any write
-  // path that doesn't.
-  ::signal(SIGPIPE, SIG_IGN);
-}
-
-bool signalled() { return g_signal != 0; }
 
 struct ServeOptions {
   int port = 0;  ///< 0 = stdin/stdout mode
@@ -117,6 +88,16 @@ struct ServeOptions {
   std::uint64_t deadline_burst = 8;
   std::size_t queue_hwm = 0;
 };
+
+/// The last `seconds` of the sampler's ring as a profile document.
+std::string profile_json(const obs::Profiler& profiler, double seconds) {
+  obs::ProfileExportOptions opts;
+  opts.source = "qulrb_serve";
+  opts.hz = profiler.hz();
+  opts.window_s = seconds;
+  obs::prof::Symbolizer symbolizer;
+  return obs::profile_to_json(profiler.snapshot(seconds), symbolizer, opts);
+}
 
 /// One protocol session: parses request lines, forwards them to the service,
 /// and serialises response lines through a caller-provided writer. Thread
@@ -191,15 +172,8 @@ class ProtocolSession {
           write(service::encode_profile_response(request.client_id, "null"));
           return true;
         }
-        obs::ProfileExportOptions opts;
-        opts.source = "qulrb_serve";
-        opts.hz = profiler->hz();
-        opts.window_s = request.profile_seconds;
-        obs::prof::Symbolizer symbolizer;
         write(service::encode_profile_response(
-            request.client_id,
-            obs::profile_to_json(profiler->snapshot(request.profile_seconds),
-                                 symbolizer, opts)));
+            request.client_id, profile_json(*profiler, request.profile_seconds)));
         return true;
       }
       case service::OpKind::kFlightDump: {
@@ -255,12 +229,12 @@ class ProtocolSession {
     return true;
   }
 
- private:
   void write(const std::string& line) {
     std::lock_guard<std::mutex> lock(write_mutex_);
     write_line_(line);
   }
 
+ private:
   service::RebalanceService& svc_;
   std::function<void(const std::string&)> write_line_;
   std::atomic<bool>& shutdown_;
@@ -305,156 +279,48 @@ void shutdown_service(service::RebalanceService& svc,
   }
 }
 
-/// Read stdin line by line through poll() so SIGINT/SIGTERM and the
-/// protocol's shutdown op are both noticed promptly — a blocked getline would
-/// hold the drain hostage until the next newline arrived.
+/// Feed request lines to the session until EOF, a shutdown or a signal. An
+/// over-long line is answered with an error and ends the session.
+void pump(net::LineReader& reader, ProtocolSession& session,
+          const std::atomic<bool>& shutdown) {
+  if (net::serve_lines(reader, shutdown, [&session](const std::string& line) {
+        return session.handle_line(line);
+      }) == net::LineReader::Status::kTooLong) {
+    session.write(service::encode_error("line too long", 0));
+  }
+}
+
+/// Stdin is read through poll() so SIGINT/SIGTERM and the protocol's
+/// shutdown op are both noticed promptly — a blocked read would hold the
+/// drain hostage until the next newline arrived.
 int run_stdio(service::RebalanceService& svc, const ServeOptions& options) {
   std::atomic<bool> shutdown{false};
   ProtocolSession session(
       svc, [](const std::string& line) { std::cout << line << "\n" << std::flush; },
       shutdown);
-  std::string buffer;
-  char chunk[4096];
-  bool open = true;
-  while (open && !shutdown.load(std::memory_order_relaxed) && !signalled()) {
-    struct pollfd pfd;
-    pfd.fd = STDIN_FILENO;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int ready = ::poll(&pfd, 1, 200);
-    if (ready < 0) {
-      if (errno == EINTR) continue;  // signal: loop condition decides
-      break;
-    }
-    if (ready == 0) continue;  // timeout: re-check the flags
-    const ssize_t n = ::read(STDIN_FILENO, chunk, sizeof(chunk));
-    if (n <= 0) break;  // EOF or error: treat as end of session
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
-         nl = buffer.find('\n', start)) {
-      std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!line.empty() && !session.handle_line(line)) {
-        open = false;
-        break;
-      }
-    }
-    buffer.erase(0, start);
-  }
-  shutdown_service(svc, options, signalled() != 0);
+  net::LineReader reader(STDIN_FILENO, net::kMaxRequestLine, net::kRecvPollMs);
+  pump(reader, session, shutdown);
+  shutdown_service(svc, options, net::signalled());
   return 0;
 }
 
-void send_all(int fd, const std::string& line) {
-  std::string framed = line;
-  framed.push_back('\n');
-  std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n =
-        ::send(fd, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;  // a signal must not tear a response line
-      return;  // EPIPE / timeout: peer gone or wedged; responses are best-effort
-    }
-    if (n == 0) return;
-    sent += static_cast<std::size_t>(n);
-  }
-}
-
-void serve_connection(service::RebalanceService& svc, int fd,
-                      std::atomic<bool>& shutdown) {
-  // Bounded recv so the loop re-checks the shutdown flag and pending signals
-  // even on an idle connection.
-  struct timeval tv;
-  tv.tv_sec = 0;
-  tv.tv_usec = 200 * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  // Bound sends too: a client that stops draining its socket (or a dying one
-  // whose window never reopens) must not park a worker callback in send()
-  // forever — after the timeout the response is dropped and the worker moves
-  // on to requests whose clients are still alive.
-  struct timeval snd_tv;
-  snd_tv.tv_sec = 2;
-  snd_tv.tv_usec = 0;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &snd_tv, sizeof(snd_tv));
-
-  ProtocolSession session(
-      svc, [fd](const std::string& line) { send_all(fd, line); }, shutdown);
-  std::string buffer;
-  char chunk[4096];
-  bool open = true;
-  while (open && !shutdown.load(std::memory_order_relaxed) && !signalled()) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
-      break;
-    }
-    if (n == 0) break;  // peer closed
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t nl = buffer.find('\n', start); nl != std::string::npos;
-         nl = buffer.find('\n', start)) {
-      std::string line = buffer.substr(start, nl - start);
-      start = nl + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (!line.empty() && !session.handle_line(line)) {
-        open = false;
-        break;
-      }
-    }
-    buffer.erase(0, start);
-  }
-  // Answer in-flight requests of this connection before closing the socket:
-  // their callbacks write through fd.
-  svc.drain();
-  ::close(fd);
-}
-
 int run_tcp(service::RebalanceService& svc, const ServeOptions& options) {
-  const int port = options.port;
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  util::require(listen_fd >= 0, "serve: socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  util::require(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                       sizeof(addr)) == 0,
-                "serve: bind() failed (port in use?)");
-  util::require(::listen(listen_fd, 128) == 0, "serve: listen() failed");
+  net::TcpServer server(options.port);
   if (!options.quiet) {
-    std::cerr << "qulrb_serve: listening on 127.0.0.1:" << port << "\n";
+    std::cerr << "qulrb_serve: listening on 127.0.0.1:" << server.port() << "\n";
   }
-
   std::atomic<bool> shutdown{false};
-  std::vector<std::thread> connections;
-  // The shutdown op or a signal trips the flag; closing the listen socket
-  // from the watcher unblocks accept() so the loop can exit.
-  std::thread watcher([&] {
-    while (!shutdown.load(std::memory_order_relaxed) && !signalled()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    ::shutdown(listen_fd, SHUT_RDWR);
-    ::close(listen_fd);
+  server.serve(shutdown, [&svc, &shutdown](int fd) {
+    ProtocolSession session(
+        svc, [fd](const std::string& line) { net::send_line(fd, line); },
+        shutdown);
+    net::LineReader reader(fd, net::kMaxRequestLine);
+    pump(reader, session, shutdown);
+    // Answer in-flight requests of this connection before the socket
+    // closes: their callbacks write through fd.
+    svc.drain();
   });
-
-  while (true) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR && !signalled()) continue;
-      break;  // listen socket closed by the watcher, or a shutdown signal
-    }
-    connections.emplace_back(
-        [&svc, fd, &shutdown] { serve_connection(svc, fd, shutdown); });
-  }
-  shutdown.store(true, std::memory_order_relaxed);
-  watcher.join();
-  for (auto& t : connections) t.join();
-  shutdown_service(svc, options, signalled() != 0);
+  shutdown_service(svc, options, net::signalled());
   return 0;
 }
 
@@ -532,7 +398,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    install_signal_handlers();
+    net::install_signal_handlers();
 
     std::optional<obs::EventLog> events;
     if (!options.events_out.empty()) {
@@ -596,17 +462,7 @@ int main(int argc, char** argv) {
           if (profiler && profiler->running()) {
             std::ofstream out(options.flight_dir + "/profile-" + suffix,
                               std::ios::trunc);
-            if (out) {
-              obs::ProfileExportOptions opts;
-              opts.source = "qulrb_serve";
-              opts.hz = profiler->hz();
-              opts.window_s = options.flight_window_s;
-              obs::prof::Symbolizer symbolizer;
-              out << obs::profile_to_json(
-                         profiler->snapshot(options.flight_window_s),
-                         symbolizer, opts)
-                  << "\n";
-            }
+            if (out) out << profile_json(*profiler, options.flight_window_s) << "\n";
           }
         });
     options.service.slo = &slo;
