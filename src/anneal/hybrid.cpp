@@ -374,6 +374,28 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     }
   };
 
+  // Fixed chunking: restarts [0, banked) group into banks of `replica_lanes`
+  // regardless of the thread count, and the last restart runs tempered when
+  // enabled (unless it is the refinement restart). Work units — chunks and
+  // the tempered restart — are what the pool distributes.
+  const std::size_t total_restarts = params_.num_restarts;
+  const bool tempered_last = params_.use_tempering && total_restarts > 0 &&
+                             !(total_restarts == 1 && refinement_available);
+  const std::size_t banked_restarts = total_restarts - (tempered_last ? 1 : 0);
+  const std::size_t bank_width = std::max<std::size_t>(1, params_.replica_lanes);
+  result.stats.replica_lanes = bank_width;
+  const std::size_t num_chunks = (banked_restarts + bank_width - 1) / bank_width;
+  const std::size_t num_units = num_chunks + (tempered_last ? 1 : 0);
+
+  const std::size_t threads = params_.threads == 0
+                                  ? std::max(1u, std::thread::hardware_concurrency())
+                                  : params_.threads;
+  // The tempering ladder runs its slots on the cores the other units leave
+  // free; its output does not depend on how many it gets.
+  const std::size_t other_units = num_units > 0 ? num_units - 1 : 0;
+  const std::size_t tempering_threads =
+      threads > other_units ? threads - other_units : 1;
+
   // Non-tempered restarts run as lanes of one CqmReplicaBank per chunk. Each
   // lane keeps its own pre-split stream and replays the scalar restart chain
   // bit for bit (anneal through the bank in per-lane mode, then the scalar
@@ -509,6 +531,7 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
       tp.num_replicas = params_.tempering_replicas;
       tp.sweeps = params_.sweeps / 2 + 1;
       tp.seed = rng.next_u64();
+      tp.threads = tempering_threads;
       tp.cancel = budget;
       tp.recorder = rec;
       tp.trace_track = track;
@@ -533,19 +556,6 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     rounds_by_restart[r] = rounds;
   };
 
-  // Fixed chunking: restarts [0, banked) group into banks of `replica_lanes`
-  // regardless of the thread count, and the last restart runs tempered when
-  // enabled (unless it is the refinement restart). Work units — chunks and
-  // the tempered restart — are what the pool distributes.
-  const std::size_t total_restarts = params_.num_restarts;
-  const bool tempered_last = params_.use_tempering && total_restarts > 0 &&
-                             !(total_restarts == 1 && refinement_available);
-  const std::size_t banked_restarts = total_restarts - (tempered_last ? 1 : 0);
-  const std::size_t bank_width = std::max<std::size_t>(1, params_.replica_lanes);
-  result.stats.replica_lanes = bank_width;
-  const std::size_t num_chunks = (banked_restarts + bank_width - 1) / bank_width;
-  const std::size_t num_units = num_chunks + (tempered_last ? 1 : 0);
-
   auto run_unit = [&](std::size_t u) {
     if (u < num_chunks) {
       const std::size_t r_begin = u * bank_width;
@@ -555,9 +565,9 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     }
   };
 
-  const std::size_t threads = params_.threads == 0
-                                  ? std::max(1u, std::thread::hardware_concurrency())
-                                  : params_.threads;
+  // Banks and the tempering ladder read the model's lazily built CSR
+  // incidence from several threads; build it once here, before any of them.
+  (void)cqm.group_kernel();
   if (threads <= 1 || num_units <= 1) {
     for (std::size_t u = 0; u < num_units; ++u) run_unit(u);
   } else {

@@ -34,9 +34,12 @@ struct HybridSolverParams {
   /// a structural asymmetry the paper's results also exhibit.
   bool use_refinement_start = true;
   std::size_t tempering_replicas = 6;
-  /// 0 = all hardware threads. Restarts are farmed to a thread pool. Every
-  /// restart draws from a pre-split RNG stream and results merge in restart
-  /// order, so the outcome is identical for any thread count.
+  /// 0 = all hardware threads. The portfolio's work units (bank chunks and
+  /// the tempered restart) are farmed to a thread pool, and the tempered
+  /// restart walks its ladder slots on the threads the other units leave
+  /// free (max(1, threads - (units - 1))). Every restart and every ladder
+  /// slot draws from a pre-split RNG stream, and results merge in a fixed
+  /// order, so the outcome is bitwise identical for any thread count.
   std::size_t threads = 0;
   /// Replica-bank width: non-tempered restarts run as lanes of one
   /// CqmReplicaBank in fixed chunks of this size (chunking is independent of

@@ -234,6 +234,40 @@ TEST(ParallelTempering, FindsToyOptimum) {
   EXPECT_TRUE(s.feasible);
 }
 
+// A budget that expires mid-run at threads=4 ends the ladder after the cut
+// block; the returned incumbent must still be a real, consistent sample.
+TEST(ParallelTempering, CancelMidRunAtFourThreadsKeepsIncumbent) {
+  CqmModel m;
+  constexpr VarId kVars = 40;
+  for (VarId v = 0; v < kVars; ++v) m.add_variable();
+  LinearExpr g(-7.0);
+  for (VarId v = 0; v < kVars; ++v) g.add_term(v, 1.0 + 0.25 * (v % 3));
+  m.add_squared_group(std::move(g), 1.0);
+  LinearExpr cap;
+  for (VarId v = 0; v < kVars; ++v) cap.add_term(v, 1.0);
+  m.add_constraint(std::move(cap), Sense::LE, 5.0);
+
+  obs::MetricsRegistry reg;
+  TemperingParams params;
+  params.num_replicas = 6;
+  params.sweeps = 50'000'000;  // far more than the budget allows
+  params.seed = 21;
+  params.threads = 4;
+  params.cancel = util::CancelToken().with_deadline_ms(30.0);
+  params.sweep_counter = &reg.counter("rounds");
+  params.replica_sweep_counter = &reg.counter("lane_sweeps");
+  const Sample s = ParallelTempering(params).run(
+      m, std::vector<double>(m.num_constraints(), 4.0));
+
+  ASSERT_EQ(s.state.size(), static_cast<std::size_t>(kVars));
+  EXPECT_NEAR(s.energy, m.objective_value(s.state), 1e-9);
+  EXPECT_NEAR(s.violation, m.total_violation(s.state), 1e-9);
+  EXPECT_EQ(s.feasible, m.is_feasible(s.state));
+  const std::uint64_t rounds = reg.counter("rounds").value();
+  EXPECT_LT(rounds, params.sweeps);
+  EXPECT_GE(reg.counter("lane_sweeps").value(), rounds * params.num_replicas);
+}
+
 TEST(ParallelTempering, RequiresTwoReplicas) {
   CqmModel m;
   m.add_variable();

@@ -2,6 +2,8 @@
 #include "util/error.hpp"
 
 #include "anneal/hybrid.hpp"
+#include "lrp/cqm_builder.hpp"
+#include "lrp/problem.hpp"
 #include "util/rng.hpp"
 
 namespace qulrb::anneal {
@@ -115,6 +117,44 @@ TEST(Hybrid, ThreadedRestartsMatchSequentialQuality) {
   const HybridSolveResult r = HybridCqmSolver(p).solve(m);
   EXPECT_TRUE(r.best.feasible);
   EXPECT_DOUBLE_EQ(r.best.energy, 0.0);
+}
+
+// Threads reach the tempering ladder too (the slots the other portfolio
+// units leave free), and every unit builds banks over the shared model. Each
+// solve gets a freshly built Q_CQM1 model whose lazily built incidence has
+// never been read, so the concurrent bank constructors would race on its
+// first build unless the solver builds it before fanning out.
+TEST(Hybrid, ThreadCountInvariantWithTempering) {
+  const lrp::LrpProblem problem({30.0, 9.0, 8.0, 4.0, 3.0, 2.0},
+                                {12, 12, 12, 12, 12, 12});
+  HybridSolverParams p;
+  p.num_restarts = 3;
+  p.sweeps = 120;
+  p.max_penalty_rounds = 2;
+  p.use_tempering = true;
+  p.tempering_replicas = 6;
+  p.exhaustive_max_vars = 0;  // force the sampling portfolio
+  p.seed = 13;
+  auto solve_fresh = [&](std::size_t threads) {
+    const lrp::LrpCqm built =
+        lrp::build_lrp_cqm(problem, lrp::CqmVariant::kReduced, 8, {});
+    HybridSolverParams params = p;
+    params.threads = threads;
+    return HybridCqmSolver(params).solve(built.cqm());
+  };
+  const HybridSolveResult one = solve_fresh(1);
+  const HybridSolveResult four = solve_fresh(4);
+  ASSERT_EQ(one.samples.size(), 3u);
+  ASSERT_EQ(four.samples.size(), one.samples.size());
+  for (std::size_t i = 0; i < one.samples.size(); ++i) {
+    SCOPED_TRACE("sample " + std::to_string(i));
+    EXPECT_EQ(four.samples.at(i).state, one.samples.at(i).state);
+    EXPECT_EQ(four.samples.at(i).energy, one.samples.at(i).energy);
+    EXPECT_EQ(four.samples.at(i).violation, one.samples.at(i).violation);
+    EXPECT_EQ(four.samples.at(i).feasible, one.samples.at(i).feasible);
+  }
+  EXPECT_EQ(four.best.state, one.best.state);
+  EXPECT_EQ(four.stats.penalty_rounds_used, one.stats.penalty_rounds_used);
 }
 
 TEST(Hybrid, ZeroVariableModel) {

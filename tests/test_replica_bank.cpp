@@ -555,20 +555,63 @@ Sample reference_tempering(const model::CqmModel& cqm,
   return best;
 }
 
+// The ladder runs its slots in parallel between exchanges; the output must
+// stay the sequential reference's for every thread count, including a sweep
+// count that leaves a partial last block (33 sweeps, interval 5).
 TEST(ReplicaBank, TemperingPermutationSwapMatchesConfigurationSwap) {
   for (const auto variant : {lrp::CqmVariant::kReduced, lrp::CqmVariant::kFull}) {
     const model::CqmModel cqm = build_cqm(variant);
     const PairMoveIndex pairs = PairMoveIndex::build(cqm);
     const std::vector<double> penalties(cqm.num_constraints(), 2.0);
+    for (const std::size_t sweeps : {30u, 33u}) {
+      TemperingParams params;
+      params.num_replicas = 4;
+      params.sweeps = sweeps;
+      params.swap_interval = 5;
+      params.seed = 31;
+      const Sample expected = reference_tempering(cqm, penalties, params, pairs);
+      for (const std::size_t threads : {1u, 2u, 3u, 4u, 8u}) {
+        params.threads = threads;
+        const Sample got = ParallelTempering(params).run(cqm, penalties, {}, &pairs);
+        SCOPED_TRACE(std::string(variant == lrp::CqmVariant::kReduced ? "Q_CQM1"
+                                                                       : "Q_CQM2") +
+                     " sweeps " + std::to_string(sweeps) + " threads " +
+                     std::to_string(threads));
+        expect_sample_eq(got, expected);
+      }
+    }
+  }
+}
+
+// Flat objective: every feasible state (at most two of twelve bits set) has
+// energy 0 and violation 0, and a random start violates, so many slots reach
+// the tied optimum within the same blocks. The block merge must keep the
+// first one in (sweep, slot) order, as the sequential reference scan does.
+TEST(ReplicaBank, TemperingTiesResolveToTheSequentialScansSample) {
+  model::CqmModel cqm;
+  constexpr model::VarId kVars = 12;
+  for (model::VarId v = 0; v < kVars; ++v) cqm.add_variable();
+  model::LinearExpr cap;
+  for (model::VarId v = 0; v < kVars; ++v) cap.add_term(v, 1.0);
+  cqm.add_constraint(std::move(cap), model::Sense::LE, 2.0);
+  const PairMoveIndex pairs = PairMoveIndex::build(cqm);
+  const std::vector<double> penalties(cqm.num_constraints(), 1.0);
+  for (const std::uint64_t seed : {3u, 4u, 5u, 6u}) {
     TemperingParams params;
-    params.num_replicas = 4;
-    params.sweeps = 30;
-    params.swap_interval = 5;
-    params.seed = 31;
+    params.num_replicas = 6;
+    params.sweeps = 40;
+    params.swap_interval = 4;
+    params.seed = seed;
     const Sample expected = reference_tempering(cqm, penalties, params, pairs);
-    const Sample got = ParallelTempering(params).run(cqm, penalties, {}, &pairs);
-    SCOPED_TRACE(variant == lrp::CqmVariant::kReduced ? "Q_CQM1" : "Q_CQM2");
-    expect_sample_eq(got, expected);
+    ASSERT_TRUE(expected.feasible);
+    EXPECT_EQ(expected.energy, 0.0);
+    for (const std::size_t threads : {1u, 3u, 6u}) {
+      params.threads = threads;
+      SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                   std::to_string(threads));
+      expect_sample_eq(ParallelTempering(params).run(cqm, penalties, {}, &pairs),
+                       expected);
+    }
   }
 }
 
@@ -592,6 +635,12 @@ TEST(ReplicaBank, TemperingDeterministicAndCountsLaneSweeps) {
 
   const Sample b = ParallelTempering(params).run(cqm, penalties, {}, &pairs);
   expect_sample_eq(a, b);
+
+  params.threads = 4;
+  const Sample c = ParallelTempering(params).run(cqm, penalties, {}, &pairs);
+  EXPECT_EQ(reg.counter("rounds").value(), 3u * 20u);
+  EXPECT_EQ(reg.counter("lane_sweeps").value(), 3u * 20u * 4u);
+  expect_sample_eq(a, c);
 }
 
 // ------------------------------------------------------------ SA + tabu -----

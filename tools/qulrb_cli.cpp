@@ -115,7 +115,7 @@ void print_report(const lrp::LrpProblem& problem, const lrp::SolverReport& repor
   table.add_row({"speedup", util::Table::num(report.metrics.speedup, 4)});
   table.add_row({"migrated tasks", util::Table::integer(report.metrics.total_migrated)});
   table.add_row({"of total tasks", util::Table::integer(problem.total_tasks())});
-  table.add_row({"cpu (ms)", util::Table::num(report.output.cpu_ms, 3)});
+  table.add_row({"wall (ms)", util::Table::num(report.output.cpu_ms, 3)});
   if (report.output.qpu_ms > 0.0) {
     table.add_row({"sim. qpu (ms)", util::Table::num(report.output.qpu_ms, 1)});
   }
@@ -260,7 +260,7 @@ int cmd_compare(const Args& args) {
   std::cout << "baseline R_imb = " << problem.imbalance_ratio() << ", k1 = " << k.k1
             << ", k2 = " << k.k2 << "\n\n";
 
-  util::Table table({"Algorithm", "R_imb", "Speedup", "# mig.", "CPU (ms)"});
+  util::Table table({"Algorithm", "R_imb", "Speedup", "# mig.", "wall (ms)"});
   const struct {
     const char* name;
     bool relaxed;
