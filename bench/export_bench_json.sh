@@ -22,7 +22,7 @@ bank_bin="$build_dir/bench/bench_replica_bank"
 baseline=${QULRB_BASELINE_JSON:-"$repo_root/bench/baseline_kernel_seed.json"}
 out="$repo_root/BENCH_kernel.json"
 min_time=${QULRB_BENCH_MIN_TIME:-0.3}
-filter=${QULRB_BENCH_FILTER:-'BM_CqmFlipDelta|BM_CqmAnnealSweep|BM_CqmPairIndexBuild|BM_QuboEnergy|BM_PimcSweep'}
+filter=${QULRB_BENCH_FILTER:-'BM_CqmFlipDelta|BM_CqmAnnealSweep|BM_CqmWalkSweep|BM_CqmPairIndexBuild|BM_QuboEnergy|BM_PimcSweep'}
 bank_filter=${QULRB_BANK_BENCH_FILTER:-'BM_ReplicaBank'}
 
 if [ ! -x "$bench_bin" ]; then

@@ -41,8 +41,8 @@ class CqmIncrementalState {
 
   std::size_t num_variables() const noexcept { return state_.size(); }
   const model::State& state() const noexcept { return state_; }
-  /// Current value of one variable. Part of the walk interface shared with
-  /// CqmReplicaBank lanes (which store packed bits, not a byte State).
+  /// Current value of one variable. Part of the walk interface the templated
+  /// PairMoveIndex moves take.
   bool state_bit(model::VarId v) const noexcept { return state_[v] != 0; }
   const model::CqmModel& cqm() const noexcept { return *cqm_; }
 
@@ -150,7 +150,7 @@ class PairMoveIndex {
   /// rejected and the criterion applies to the objective part alone.
   /// Returns true when a move was applied. `Walk` is any type exposing the
   /// CqmIncrementalState walk interface (state_bit / pair_delta_parts /
-  /// apply_flip) — in particular a CqmReplicaBank::LaneRef.
+  /// apply_flip); every production chain passes a CqmIncrementalState.
   template <class Walk>
   bool attempt(Walk& walk, util::Rng& rng, double beta,
                bool feasible_only = false) const;
@@ -250,8 +250,7 @@ class CqmAnnealer {
 };
 
 // ---------------------------------------------------------------------------
-// PairMoveIndex template bodies (shared by CqmIncrementalState walks and
-// CqmReplicaBank lanes).
+// PairMoveIndex template bodies.
 // ---------------------------------------------------------------------------
 
 template <class Walk>

@@ -168,7 +168,7 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
                             "Sampler sweeps executed across all portfolio members");
     m_replica_sweeps =
         &reg.counter("qulrb_solver_replica_sweeps",
-                     "Lane-sweeps executed through the replica bank");
+                     "Lane-sweeps executed by restart lanes and ladder slots");
     m_solve_ms = &reg.histogram("qulrb_solver_solve_ms",
                                 "Hybrid solve wall time in milliseconds");
   }
@@ -374,7 +374,7 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     }
   };
 
-  // Fixed chunking: restarts [0, banked) group into banks of `replica_lanes`
+  // Fixed chunking: restarts [0, banked) group into chunks of `replica_lanes`
   // regardless of the thread count, and the last restart runs tempered when
   // enabled (unless it is the refinement restart). Work units — chunks and
   // the tempered restart — are what the pool distributes.
@@ -396,9 +396,9 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
   const std::size_t tempering_threads =
       threads > other_units ? threads - other_units : 1;
 
-  // Non-tempered restarts run as lanes of one CqmReplicaBank per chunk. Each
-  // lane keeps its own pre-split stream and replays the scalar restart chain
-  // bit for bit (anneal through the bank in per-lane mode, then the scalar
+  // Non-tempered restarts run as the lanes of one anneal_lanes call per
+  // chunk. Each lane keeps its own pre-split stream and walk and replays the
+  // scalar restart chain bit for bit (anneal in per-lane mode, then the
   // polish on the same stream), so chunking — like threading — never changes
   // the samples.
   auto run_bank_chunk = [&](std::size_t r_begin, std::size_t r_end) {
@@ -502,8 +502,8 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     }
   };
 
-  // The tempering restart keeps resident replicas of its own (inside
-  // ParallelTempering's bank) and so runs as its own unit.
+  // The tempering restart keeps resident replicas of its own (one walk per
+  // ladder configuration) and so runs as its own unit.
   auto run_tempered_restart = [&](std::size_t r) {
     if (r > 0 && budget.expired()) {
       return;  // keep at least one restart so solve() always has an incumbent
@@ -565,7 +565,7 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     }
   };
 
-  // Banks and the tempering ladder read the model's lazily built CSR
+  // Restart lanes and the tempering ladder read the model's lazily built CSR
   // incidence from several threads; build it once here, before any of them.
   (void)cqm.group_kernel();
   if (threads <= 1 || num_units <= 1) {

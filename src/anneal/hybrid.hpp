@@ -34,18 +34,19 @@ struct HybridSolverParams {
   /// a structural asymmetry the paper's results also exhibit.
   bool use_refinement_start = true;
   std::size_t tempering_replicas = 6;
-  /// 0 = all hardware threads. The portfolio's work units (bank chunks and
+  /// 0 = all hardware threads. The portfolio's work units (restart chunks and
   /// the tempered restart) are farmed to a thread pool, and the tempered
   /// restart walks its ladder slots on the threads the other units leave
   /// free (max(1, threads - (units - 1))). Every restart and every ladder
   /// slot draws from a pre-split RNG stream, and results merge in a fixed
   /// order, so the outcome is bitwise identical for any thread count.
   std::size_t threads = 0;
-  /// Replica-bank width: non-tempered restarts run as lanes of one
-  /// CqmReplicaBank in fixed chunks of this size (chunking is independent of
-  /// `threads`). Each lane replays the scalar per-restart chain bit for bit —
-  /// the bank only amortises the model scan — so any width produces the same
-  /// samples. 0 or 1 degenerates to one restart per bank.
+  /// Restarts per work unit: non-tempered restarts run in fixed chunks of
+  /// this size (chunking is independent of `threads`), each chunk one
+  /// BatchedCqmAnnealer call whose lanes step interleaved on one thread. Each
+  /// lane walks its own CqmIncrementalState and replays the scalar
+  /// per-restart chain bit for bit, so any width produces the same samples.
+  /// 0 or 1 degenerates to one restart per unit.
   std::size_t replica_lanes = 8;
   /// Free-variable count (after presolve) at or below which the solver skips
   /// sampling entirely and enumerates every assignment with a Gray-code walk
@@ -110,7 +111,7 @@ struct HybridSolveStats {
   std::size_t num_constraints = 0;
   std::size_t presolve_fixed = 0;
   bool presolve_infeasible = false;
-  /// Replica-bank width the portfolio ran with (0 when the solve never
+  /// Restart-chunk width the portfolio ran with (0 when the solve never
   /// reached the sampling portfolio, e.g. presolve-infeasible or exhaustive
   /// enumeration).
   std::size_t replica_lanes = 0;

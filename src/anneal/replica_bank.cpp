@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "util/error.hpp"
@@ -629,14 +630,38 @@ std::vector<Sample> BatchedCqmAnnealer::anneal_lanes(
     penalties[l] = *lanes[l].penalties;
   }
 
-  CqmReplicaBank bank(cqm, starts, penalties);
+  // Shared-proposal mode keeps every lane in one bank so each step runs
+  // through the batched across-lane kernels. Per-lane mode walks each lane on
+  // its own CqmIncrementalState: its moves differ from lane to lane, so
+  // nothing is batched and the scalar walk is the cheaper single-lane step.
+  std::optional<CqmReplicaBank> bank;
+  std::vector<CqmIncrementalState> walks;
+  if (proposal_rng != nullptr) {
+    bank.emplace(cqm, starts, penalties);
+  } else {
+    walks.reserve(L);
+    for (std::size_t l = 0; l < L; ++l) {
+      walks.emplace_back(cqm, std::move(starts[l]), std::move(penalties[l]));
+    }
+  }
   starts.clear();
   starts.shrink_to_fit();
 
+  // Lane l's current sample, its state left out until it is kept.
+  auto lane_sample = [&](std::size_t l) {
+    return bank ? Sample{{}, bank->objective(l), bank->total_violation(l),
+                         bank->feasible(l)}
+                : Sample{{}, walks[l].objective(), walks[l].total_violation(),
+                         walks[l].feasible()};
+  };
+  auto lane_state = [&](std::size_t l) {
+    return bank ? bank->extract_state(l) : walks[l].state();
+  };
+
   std::vector<Sample> best(L);
   for (std::size_t l = 0; l < L; ++l) {
-    best[l] = {bank.extract_state(l), bank.objective(l), bank.total_violation(l),
-               bank.feasible(l)};
+    best[l] = lane_sample(l);
+    best[l].state = lane_state(l);
   }
   if (n == 0) return best;
 
@@ -658,7 +683,7 @@ std::vector<Sample> BatchedCqmAnnealer::anneal_lanes(
     const std::size_t probes = std::min<std::size_t>(n, 512);
     for (std::size_t p = 0; p < probes; ++p) {
       const auto v = static_cast<VarId>(proposal_rng->next_below(n));
-      bank.batched_flip_delta(v, probe_deltas.data());
+      bank->batched_flip_delta(v, probe_deltas.data());
       for (std::size_t l = 0; l < L; ++l) {
         max_abs_total[l] =
             std::max(max_abs_total[l], std::abs(probe_deltas[l].total()));
@@ -685,7 +710,7 @@ std::vector<Sample> BatchedCqmAnnealer::anneal_lanes(
       const std::size_t probes = std::min<std::size_t>(n, 512);
       for (std::size_t p = 0; p < probes; ++p) {
         const auto v = static_cast<VarId>(rng.next_below(n));
-        const auto d = bank.flip_delta_parts(l, v);
+        const auto d = walks[l].flip_delta_parts(v);
         max_abs_total = std::max(max_abs_total, std::abs(d.total()));
         max_abs_obj = std::max(max_abs_obj, std::abs(d.objective));
       }
@@ -744,13 +769,13 @@ std::vector<Sample> BatchedCqmAnnealer::anneal_lanes(
             if (lanes[l].trace != nullptr) ++lanes[l].trace->pair_attempts;
           }
           if (a == b) continue;
-          bank.batched_pair_delta(a, b, deltas.data());
+          bank->batched_pair_delta(a, b, deltas.data());
           bool any = false;
           for (std::size_t l = 0; l < L; ++l) {
             accept[l] = 0;
             // A pair move only exists on lanes whose bits differ; equal-bit
             // lanes veto without touching their acceptance stream.
-            if (bank.state_bit(l, a) == bank.state_bit(l, b)) continue;
+            if (bank->state_bit(l, a) == bank->state_bit(l, b)) continue;
             const auto& d = deltas[l];
             if (lanes[l].refinement && d.penalty > 0.0) continue;
             const double criterion =
@@ -765,13 +790,13 @@ std::vector<Sample> BatchedCqmAnnealer::anneal_lanes(
             }
           }
           if (any) {
-            bank.batched_apply_flip(a, accept.data());
-            bank.batched_apply_flip(b, accept.data());
+            bank->batched_apply_flip(a, accept.data());
+            bank->batched_apply_flip(b, accept.data());
           }
           continue;
         }
         const auto v = static_cast<VarId>(proposal_rng->next_below(n));
-        bank.batched_flip_delta(v, deltas.data());
+        bank->batched_flip_delta(v, deltas.data());
         bool any = false;
         for (std::size_t l = 0; l < L; ++l) {
           accept[l] = 0;
@@ -787,19 +812,18 @@ std::vector<Sample> BatchedCqmAnnealer::anneal_lanes(
             if (lanes[l].trace != nullptr) ++lanes[l].trace->flip_accepts;
           }
         }
-        if (any) bank.batched_apply_flip(v, accept.data());
+        if (any) bank->batched_apply_flip(v, accept.data());
       }
     } else {
-      // Lockstep: every lane advances one step per iteration. Lanes carry
-      // independent RNG/state, so interleaving them changes nothing bitwise
-      // but overlaps their dependency chains and keeps the shared CSR rows
-      // hot.
+      // Every lane advances one step per iteration. Lanes carry independent
+      // RNG/state, so interleaving them changes nothing bitwise but overlaps
+      // their dependency chains and keeps the shared CSR rows hot.
       for (std::size_t step = 0; step < n; ++step) {
         for (std::size_t l = 0; l < L; ++l) {
           util::Rng& rng = *lanes[l].rng;
           AnnealTrace* trace = lanes[l].trace;
+          CqmIncrementalState& walk = walks[l];
           if (use_pairs && rng.next_bool(params_.pair_move_prob)) {
-            CqmReplicaBank::LaneRef walk = bank.lane(l);
             const bool accepted =
                 pair_index.attempt(walk, rng, betas[l], lanes[l].refinement);
             improved[l] = accepted ? 1 : improved[l];
@@ -811,12 +835,12 @@ std::vector<Sample> BatchedCqmAnnealer::anneal_lanes(
           }
           const auto v = static_cast<VarId>(rng.next_below(n));
           if (trace != nullptr) ++trace->flip_attempts;
-          const auto d = bank.flip_delta_parts(l, v);
+          const auto d = walk.flip_delta_parts(v);
           if (lanes[l].refinement && d.penalty > 0.0) continue;
           const double criterion = lanes[l].refinement ? d.objective : d.total();
           if (criterion <= 0.0 ||
               rng.next_double() < std::exp(-betas[l] * criterion)) {
-            bank.apply_flip(l, v);
+            walk.apply_flip(v);
             improved[l] = 1;
             if (trace != nullptr) ++trace->flip_accepts;
           }
@@ -825,17 +849,16 @@ std::vector<Sample> BatchedCqmAnnealer::anneal_lanes(
     }
     for (std::size_t l = 0; l < L; ++l) {
       if (improved[l]) {
-        Sample current{{}, bank.objective(l), bank.total_violation(l),
-                       bank.feasible(l)};
+        Sample current = lane_sample(l);
         if (current.better_than(best[l])) {
-          current.state = bank.extract_state(l);
+          current.state = lane_state(l);
           best[l] = std::move(current);
         }
       }
       if (lanes[l].trace != nullptr) {
         lanes[l].trace->best_energy_per_sweep.push_back(best[l].energy +
                                                         best[l].violation);
-        lanes[l].trace->violation_per_sweep.push_back(bank.total_violation(l));
+        lanes[l].trace->violation_per_sweep.push_back(lane_sample(l).violation);
       }
       if (params_.recorder != nullptr &&
           (sweep % sample_every == 0 || sweep + 1 == total_sweeps)) {

@@ -191,10 +191,10 @@ class CqmReplicaBank {
   bool feasible(std::size_t lane, double tol = 1e-9) const noexcept;
   model::State extract_state(std::size_t lane) const;
 
+  /// Single-lane operations: the lane-generic mirrors of the batched kernels
+  /// below (tests check each batched kernel against them). A lone walk steps
+  /// faster on a CqmIncrementalState.
   FlipDelta flip_delta_parts(std::size_t lane, model::VarId v) const noexcept;
-  double flip_delta(std::size_t lane, model::VarId v) const noexcept {
-    return flip_delta_parts(lane, v).total();
-  }
   FlipDelta pair_delta_parts(std::size_t lane, model::VarId a,
                              model::VarId b) const noexcept;
   void apply_flip(std::size_t lane, model::VarId v) noexcept;
@@ -221,30 +221,6 @@ class CqmReplicaBank {
   /// (accept must hold num_lanes() entries). Non-accepting lanes keep every
   /// aggregate bitwise untouched.
   void batched_apply_flip(model::VarId v, const std::uint8_t* accept) noexcept;
-
-  /// Single-lane adapter exposing the CqmIncrementalState walk interface
-  /// (state_bit / deltas / apply_flip), so the templated pair-move machinery
-  /// runs unchanged on a bank lane.
-  class LaneRef {
-   public:
-    LaneRef(CqmReplicaBank& bank, std::size_t lane) noexcept
-        : bank_(&bank), lane_(lane) {}
-    bool state_bit(model::VarId v) const noexcept {
-      return bank_->state_bit(lane_, v);
-    }
-    FlipDelta flip_delta_parts(model::VarId v) const noexcept {
-      return bank_->flip_delta_parts(lane_, v);
-    }
-    FlipDelta pair_delta_parts(model::VarId a, model::VarId b) const noexcept {
-      return bank_->pair_delta_parts(lane_, a, b);
-    }
-    void apply_flip(model::VarId v) noexcept { bank_->apply_flip(lane_, v); }
-
-   private:
-    CqmReplicaBank* bank_;
-    std::size_t lane_;
-  };
-  LaneRef lane(std::size_t l) noexcept { return LaneRef(*this, l); }
 
  private:
   double lane_penalty_of(std::size_t c, std::size_t lane,
@@ -303,7 +279,7 @@ struct BatchedCqmAnnealParams {
   /// Bumped by the per-lane sweep count, matching what R scalar anneal_once
   /// calls would contribute.
   obs::Counter* sweep_counter = nullptr;
-  /// Bumped by lane-sweeps executed through the bank (sweeps x lanes); feeds
+  /// Bumped by lane-sweeps executed (sweeps x lanes); feeds
   /// qulrb_solver_replica_sweeps.
   obs::Counter* replica_sweep_counter = nullptr;
   /// Optional always-on flight ring: one compact span per anneal_lanes call
@@ -313,20 +289,20 @@ struct BatchedCqmAnnealParams {
   std::uint64_t flight_rid = 0;
 };
 
-/// Lockstep multi-replica twin of CqmAnnealer: R lanes anneal over one
-/// CqmReplicaBank, each lane replaying CqmAnnealer::anneal_once bit for bit
-/// (same RNG draw order, same FP operation order, same incumbent rule) with
-/// the model scan amortised across replicas. Used by HybridCqmSolver to run
-/// its restart portfolio as one bank instead of R independent chains.
+/// Lockstep multi-replica twin of CqmAnnealer: R lanes anneal step by step
+/// in one interleaved loop with one schedule, incumbent and trace pass.
 ///
 /// Two proposal modes:
 ///  - Per-lane (default, `proposal_rng == nullptr`): each lane draws its own
-///    moves from its own stream, exactly like R scalar CqmAnnealer runs —
-///    trajectories are bitwise identical to anneal_once with the same seeds.
-///  - Shared-proposal lockstep (`proposal_rng != nullptr`): one proposal
-///    stream draws each step's move (flip variable or candidate pair) for all
-///    lanes, so the delta evaluation and the commit run through the batched
-///    across-lane SIMD kernels; each lane keeps its own acceptance stream.
+///    moves from its own stream and walks its own CqmIncrementalState,
+///    exactly like R scalar CqmAnnealer runs — trajectories are bitwise
+///    identical to anneal_once with the same seeds. HybridCqmSolver runs its
+///    restart lanes in this mode.
+///  - Shared-proposal lockstep (`proposal_rng != nullptr`): the lanes live in
+///    one CqmReplicaBank and one proposal stream draws each step's move (flip
+///    variable or candidate pair) for all of them, so the delta evaluation
+///    and the commit run through the batched across-lane SIMD kernels; each
+///    lane keeps its own acceptance stream.
 ///    Proposal draws never depend on lane state, so a lane's trajectory
 ///    depends only on (proposal stream, its own stream) — independent of R
 ///    and of which other lanes share the bank — and is bitwise identical

@@ -4,13 +4,11 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
-#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "anneal/cqm_anneal.hpp"
-#include "anneal/replica_bank.hpp"
 #include "obs/phase.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -35,6 +33,13 @@ struct alignas(64) LadderSlot {
   std::size_t sweeps_done = 0;
 };
 
+/// One configuration's walk. Cache-line aligned because every accepted flip
+/// writes the walk's running objective and penalty, and slots on different
+/// workers walk different configurations.
+struct alignas(64) Configuration {
+  CqmIncrementalState walk;
+};
+
 }  // namespace
 
 Sample ParallelTempering::run(const model::CqmModel& cqm,
@@ -52,7 +57,7 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
                 "ParallelTempering: initial state size mismatch");
 
   // The model builds its CSR incidence lazily inside const accessors; build
-  // it here, before any bank or worker reads it.
+  // it here, before any walk or worker reads it.
   (void)cqm.group_kernel();
 
   util::Rng master(params_.seed);
@@ -75,17 +80,15 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
     starts[r] = std::move(start);
   }
 
-  // One single-lane bank per configuration: slots walking concurrently share
-  // no storage (a multi-lane bank packs every lane's spin into one word).
-  std::vector<CqmReplicaBank> banks;
-  banks.reserve(num_slots);
+  // One walk per configuration: slots walking concurrently share no storage.
+  std::vector<Configuration> configs;
+  configs.reserve(num_slots);
   for (std::size_t r = 0; r < num_slots; ++r) {
-    banks.emplace_back(cqm, std::span<const model::State>(&starts[r], 1),
-                       std::span<const std::vector<double>>(&penalties, 1));
+    configs.push_back({CqmIncrementalState(cqm, std::move(starts[r]), penalties)});
   }
 
-  // Ladder position -> bank. Replica exchange swaps configurations between
-  // adjacent temperatures; the configurations stay in their banks and only
+  // Ladder position -> configuration. Replica exchange swaps configurations
+  // between adjacent temperatures; the walks stay where they are and only
   // this permutation moves.
   std::vector<std::size_t> perm(num_slots);
   std::iota(perm.begin(), perm.end(), std::size_t{0});
@@ -99,7 +102,7 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
       const std::size_t probes = std::min<std::size_t>(n, 256);
       for (std::size_t p = 0; p < probes; ++p) {
         const auto v = static_cast<VarId>(slots[0].rng.next_below(n));
-        max_abs = std::max(max_abs, std::abs(banks[perm[0]].flip_delta(0, v)));
+        max_abs = std::max(max_abs, std::abs(configs[perm[0]].walk.flip_delta(v)));
       }
     }
     beta_hot = std::log(2.0) / max_abs;
@@ -117,9 +120,9 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
   const PairMoveIndex& pairs =
       prebuilt_pairs != nullptr ? *prebuilt_pairs : local_pairs;
 
-  const CqmReplicaBank& last = banks[perm.back()];
-  Sample best{last.extract_state(0), last.objective(0), last.total_violation(0),
-              last.feasible(0)};
+  const CqmIncrementalState& last = configs[perm.back()].walk;
+  Sample best{last.state(), last.objective(), last.total_violation(),
+              last.feasible()};
 
   if (n == 0) return best;
 
@@ -127,18 +130,17 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
                                params_.trace_track);
   const std::size_t sample_every = std::max<std::size_t>(1, params_.sweeps / 64);
 
-  // Walk ladder slot r through sweeps [begin, end) of one block: bank
-  // perm[r], stream slots[r].rng, beta betas[r]. Reads `best` and `perm`,
-  // which only change between blocks, and writes nothing but slot r and its
-  // bank.
+  // Walk ladder slot r through sweeps [begin, end) of one block:
+  // configuration perm[r], stream slots[r].rng, beta betas[r]. Reads `best`
+  // and `perm`, which only change between blocks, and writes nothing but
+  // slot r and its configuration.
   auto walk_slot = [&](std::size_t r, std::size_t begin, std::size_t end) {
     // May run on a pool worker: the profiler's phase and request-id labels
     // are per thread, so they are set here.
     obs::prof::RidScope rid_scope(params_.flight_rid);
     obs::prof::PhaseScope phase("tempering");
     LadderSlot& slot = slots[r];
-    CqmReplicaBank& bank = banks[perm[r]];
-    auto walk = bank.lane(0);
+    CqmIncrementalState& walk = configs[perm[r]].walk;
     auto& rng = slot.rng;
     const double beta = betas[r];
     slot.have_candidate = false;
@@ -150,15 +152,15 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
           continue;
         }
         const auto v = static_cast<VarId>(rng.next_below(n));
-        const double delta = bank.flip_delta(0, v);
+        const double delta = walk.flip_delta(v);
         if (delta <= 0.0 || rng.next_double() < std::exp(-beta * delta)) {
           walk.apply_flip(v);
         }
       }
-      Sample current{{}, bank.objective(0), bank.total_violation(0),
-                     bank.feasible(0)};
+      Sample current{{}, walk.objective(), walk.total_violation(),
+                     walk.feasible()};
       if (current.better_than(slot.have_candidate ? slot.candidate : best)) {
-        current.state = bank.extract_state(0);
+        current.state = walk.state();
         slot.candidate = std::move(current);
         slot.candidate_sweep = sweep;
         slot.have_candidate = true;
@@ -220,8 +222,8 @@ Sample ParallelTempering::run(const model::CqmModel& cqm,
 
     if (end % params_.swap_interval == 0) {
       for (std::size_t r = 0; r + 1 < num_slots; ++r) {
-        const double ea = banks[perm[r]].total_energy(0);
-        const double eb = banks[perm[r + 1]].total_energy(0);
+        const double ea = configs[perm[r]].walk.total_energy();
+        const double eb = configs[perm[r + 1]].walk.total_energy();
         const double log_accept = (betas[r] - betas[r + 1]) * (ea - eb);
         if (log_accept >= 0.0 ||
             slots[0].rng.next_double() < std::exp(log_accept)) {

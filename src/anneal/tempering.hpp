@@ -57,9 +57,9 @@ struct TemperingParams {
 /// Better than plain SA on rugged penalty landscapes (tight `k` bounds),
 /// which is why the hybrid solver enables it for hard instances.
 ///
-/// Each configuration lives in its own single-lane CqmReplicaBank and each
-/// ladder slot owns its RNG stream and beta, so the slots of one block share
-/// no mutable state. The exchange after a block runs serially on the calling
+/// Each configuration is its own CqmIncrementalState walk and each ladder
+/// slot owns its RNG stream and beta, so the slots of one block share no
+/// mutable state; an exchange swaps which configuration a slot walks. The exchange after a block runs serially on the calling
 /// thread, and the block's incumbent merge picks the best slot candidate with
 /// ties to the earliest (sweep, slot) — exactly what a sequential scan in
 /// (sweep, slot) order returns.

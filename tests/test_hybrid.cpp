@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 #include "util/error.hpp"
 
+#include <cstdint>
+#include <cstring>
+
 #include "anneal/hybrid.hpp"
 #include "lrp/cqm_builder.hpp"
+#include "lrp/kselect.hpp"
 #include "lrp/problem.hpp"
 #include "util/rng.hpp"
+#include "workloads/scenarios.hpp"
 
 namespace qulrb::anneal {
 namespace {
@@ -177,6 +182,66 @@ TEST(Hybrid, RefinementSkippedWhenZerosInfeasible) {
   const HybridSolveResult r = HybridCqmSolver(fast_params()).solve(m);
   EXPECT_TRUE(r.best.feasible);
   EXPECT_DOUBLE_EQ(r.best.energy, 2.0);
+}
+
+/// FNV-1a over every sample, in order: its state bytes and the bit patterns
+/// of its energy and violation, then its feasibility flag.
+std::uint64_t sample_set_hash(const SampleSet& samples) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const Sample& s = samples.at(i);
+    mix(s.state.data(), s.state.size());
+    std::uint64_t bits;
+    std::memcpy(&bits, &s.energy, sizeof(bits));
+    mix(&bits, sizeof(bits));
+    std::memcpy(&bits, &s.violation, sizeof(bits));
+    mix(&bits, sizeof(bits));
+    const unsigned char feasible = s.feasible ? 1 : 0;
+    mix(&feasible, 1);
+  }
+  return h;
+}
+
+// The other tests compare one walk against another (threads, bank lanes,
+// scalar state), so a drift that moves every walk at once passes them. These
+// constants pin the portfolio's output bits: the refinement lane (Q_CQM1),
+// random lanes, the tempered restart, penalty escalation (Q_CQM2) and polish.
+TEST(Hybrid, PinnedSampleSetBits) {
+  const auto scenario = workloads::scenarios::node_scaling(8);
+  const std::int64_t k1 = lrp::select_k(scenario.problem).k1;
+  struct Case {
+    lrp::CqmVariant variant;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {lrp::CqmVariant::kReduced, 0xf28e5b2be58d5f96ull},
+      {lrp::CqmVariant::kFull, 0xef936dd9b12469acull},
+  };
+  for (const Case& c : cases) {
+    const lrp::LrpCqm built = lrp::build_lrp_cqm(scenario.problem, c.variant, k1);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(lrp::to_string(c.variant)) + " threads=" +
+                   std::to_string(threads));
+      HybridSolverParams p;
+      p.num_restarts = 3;
+      p.sweeps = 200;
+      p.use_tempering = true;
+      p.use_refinement_start = true;
+      p.seed = 2024;
+      p.threads = threads;
+      const HybridSolveResult r = HybridCqmSolver(p).solve(built.cqm());
+      ASSERT_EQ(r.samples.size(), 3u);
+      EXPECT_EQ(sample_set_hash(r.samples), c.hash)
+          << std::hex << "0x" << sample_set_hash(r.samples);
+    }
+  }
 }
 
 }  // namespace

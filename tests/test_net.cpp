@@ -144,6 +144,7 @@ class SilentServer {
         if (on_accept_) on_accept_(fd);
         LineReader reader(fd, kMaxRequestLine);
         serve_lines(reader, shutdown_, [](const std::string&) { return true; });
+        handlers_returned_.fetch_add(1);
       });
     });
   }
@@ -154,10 +155,13 @@ class SilentServer {
 
   TcpServer& server() { return server_; }
   BackendAddress address() const { return {"127.0.0.1", server_.port()}; }
+  /// Connection handlers that have run to completion.
+  std::size_t handlers_returned() const { return handlers_returned_.load(); }
 
  private:
   TcpServer server_{0};
   std::atomic<bool> shutdown_{false};
+  std::atomic<std::size_t> handlers_returned_{0};
   std::function<void(int)> on_accept_;
   std::thread thread_;
 };
@@ -210,10 +214,20 @@ TEST(Net, AcceptedAndConnectedSocketsSetNoDelay) {
 TEST(Net, FinishedConnectionThreadsAreReaped) {
   SilentServer server;
   std::size_t peak = 0;
-  for (int i = 0; i < 200; ++i) {
+  for (std::size_t i = 0; i < 200; ++i) {
     const int fd = connect_tcp(server.address(), 0.0, 0.0);
     ASSERT_GE(fd, 0);
     ::close(fd);
+    // Wait for this connection's handler before opening the next, so the
+    // number of finished-but-unjoined threads depends on reaping alone, not
+    // on how far the server's threads lag behind the client under load.
+    const auto handler_deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (server.handlers_returned() <= i &&
+           std::chrono::steady_clock::now() < handler_deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    ASSERT_GT(server.handlers_returned(), i);
     peak = std::max(peak, server.server().live_connections());
   }
   // Every client has gone; within a few accept polls every thread that
