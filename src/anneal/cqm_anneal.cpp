@@ -406,6 +406,9 @@ Sample CqmAnnealer::anneal_once(const CqmModel& cqm, std::vector<double> penalti
   if (params_.sweep_counter != nullptr && sweeps_done > 0) {
     params_.sweep_counter->inc(sweeps_done);
   }
+  if (params_.replica_sweep_counter != nullptr && sweeps_done > 0) {
+    params_.replica_sweep_counter->inc(sweeps_done);
+  }
   if (params_.flight != nullptr) {
     const double end_us = params_.flight->now_us();
     params_.flight->record(params_.flight_name, obs::FlightKind::kSpan,

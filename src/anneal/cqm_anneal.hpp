@@ -194,9 +194,11 @@ struct CqmAnnealParams {
   /// output is bitwise identical with or without it.
   obs::Recorder* recorder = nullptr;
   std::uint32_t trace_track = 0;
-  /// Optional metrics sink: bumped once per anneal_once by the number of
-  /// sweeps actually executed.
+  /// Optional metrics sinks, each bumped once per anneal_once by the number
+  /// of sweeps actually executed. The hybrid solver points
+  /// `replica_sweep_counter` at qulrb_solver_replica_sweeps.
   obs::Counter* sweep_counter = nullptr;
+  obs::Counter* replica_sweep_counter = nullptr;
   /// Optional always-on flight ring: one compact span per anneal_once
   /// (carrying the executed sweep count), stamped with `flight_rid` so a
   /// retroactive dump slices out the triggering request's solver activity.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <numeric>
 #include <optional>
@@ -11,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "anneal/replica_bank.hpp"
 #include "anneal/tempering.hpp"
 #include "model/presolve.hpp"
 #include "util/error.hpp"
@@ -87,7 +87,9 @@ void record_violation_attribution(obs::Recorder& rec, const CqmModel& cqm,
   rec.annotate("violated_constraints", std::to_string(violated.size()));
   if (violated.empty()) return;
   const std::size_t keep = std::min(violated.size(), kMaxAttributed);
-  std::partial_sort(violated.begin(), violated.begin() + keep, violated.end(),
+  std::partial_sort(violated.begin(),
+                    violated.begin() + static_cast<std::ptrdiff_t>(keep),
+                    violated.end(),
                     [](const Violated& a, const Violated& b) {
                       return a.v > b.v;
                     });
@@ -178,8 +180,8 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
                                  ? params_.recorder
                                  : params_.trace.recorder();
   // Flight-ring name codes, interned once per solve (cold path).
-  const std::uint16_t f_batch =
-      params_.flight != nullptr ? params_.flight->intern("anneal-batch") : 0;
+  const std::uint16_t f_anneal =
+      params_.flight != nullptr ? params_.flight->intern("anneal") : 0;
   const std::uint16_t f_temper =
       params_.flight != nullptr ? params_.flight->intern("tempering") : 0;
   if (rec != nullptr) {
@@ -333,9 +335,8 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
           : 1;
 
   // Feasibility polish: steepest descent with current penalties, then
-  // zero-temperature pair moves (constraint-preserving reroutes). Shared by
-  // banked and tempered restarts; always runs on the restart's own stream so
-  // the draw sequence matches the scalar per-restart chain exactly.
+  // zero-temperature pair moves (constraint-preserving reroutes). Runs after
+  // every penalty round of every restart, on the restart's own stream.
   auto polish = [&](Sample& s, const std::vector<double>& penalties,
                     util::Rng& rng, std::uint32_t track) {
     obs::prof::PhaseScope polish_phase("polish");
@@ -374,17 +375,17 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     }
   };
 
-  // Fixed chunking: restarts [0, banked) group into chunks of `replica_lanes`
-  // regardless of the thread count, and the last restart runs tempered when
-  // enabled (unless it is the refinement restart). Work units — chunks and
-  // the tempered restart — are what the pool distributes.
+  // Fixed chunking: restarts [0, chunked) group into chunks of
+  // `replica_lanes` regardless of the thread count, and the last restart runs
+  // tempered when enabled (unless it is the refinement restart). Work units —
+  // chunks and the tempered restart — are what the pool distributes.
   const std::size_t total_restarts = params_.num_restarts;
   const bool tempered_last = params_.use_tempering && total_restarts > 0 &&
                              !(total_restarts == 1 && refinement_available);
-  const std::size_t banked_restarts = total_restarts - (tempered_last ? 1 : 0);
-  const std::size_t bank_width = std::max<std::size_t>(1, params_.replica_lanes);
-  result.stats.replica_lanes = bank_width;
-  const std::size_t num_chunks = (banked_restarts + bank_width - 1) / bank_width;
+  const std::size_t chunked_restarts = total_restarts - (tempered_last ? 1 : 0);
+  const std::size_t chunk_width = std::max<std::size_t>(1, params_.replica_lanes);
+  result.stats.replica_lanes = chunk_width;
+  const std::size_t num_chunks = (chunked_restarts + chunk_width - 1) / chunk_width;
   const std::size_t num_units = num_chunks + (tempered_last ? 1 : 0);
 
   const std::size_t threads = params_.threads == 0
@@ -396,151 +397,75 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
   const std::size_t tempering_threads =
       threads > other_units ? threads - other_units : 1;
 
-  // Non-tempered restarts run as the lanes of one anneal_lanes call per
-  // chunk. Each lane keeps its own pre-split stream and walk and replays the
-  // scalar restart chain bit for bit (anneal in per-lane mode, then the
-  // polish on the same stream), so chunking — like threading — never changes
-  // the samples.
-  auto run_bank_chunk = [&](std::size_t r_begin, std::size_t r_end) {
-    // Runs on a pool worker thread; the phase/rid scopes must live here, not
-    // on the submitting thread, for samples of this chunk to attribute.
-    obs::prof::RidScope rid_scope(params_.flight_rid);
-    obs::prof::PhaseScope restart_phase("restart");
-    struct Lane {
-      std::size_t r = 0;
-      util::Rng rng{0};
-      std::vector<double> penalties;
-      bool refine = false;
-      model::State init;
-      Sample best;
-      bool have_sample = false;
-      std::size_t rounds = 0;
-      std::uint32_t track = 0;
-      std::unique_ptr<obs::Recorder::Span> span;
-      bool done = false;
-    };
-    std::vector<Lane> lanes;
-    lanes.reserve(r_end - r_begin);
-    for (std::size_t r = r_begin; r < r_end; ++r) {
-      if (r > 0 && budget.expired()) {
-        continue;  // keep at least one restart so solve() always has an incumbent
-      }
-      Lane lane;
-      lane.r = r;
-      lane.rng = streams[r];
-      lane.penalties = base_penalties;
-      lane.refine = r == 0 && refinement_available;
-      if (lane.refine) {
-        lane.init =
-            have_hint ? params_.initial_hint : model::State(cqm.num_variables(), 0);
-      } else {
-        lane.init = random_state(cqm.num_variables(), lane.rng);
-      }
-      apply_fixings(lane.init, pre);
-      // Each restart renders on its own trace track so the portfolio members
-      // line up side by side in the viewer.
-      lane.track = restart_track_base + static_cast<std::uint32_t>(r);
-      if (rec != nullptr) {
-        std::string label = "restart " + std::to_string(r);
-        if (lane.refine) label += " (refine)";
-        rec->name_track(lane.track, std::move(label));
-      }
-      lane.span = std::make_unique<obs::Recorder::Span>(rec, "restart", "hybrid",
-                                                        lane.track);
-      lanes.push_back(std::move(lane));
-    }
-
-    BatchedCqmAnnealParams bp;
-    bp.sweeps = params_.sweeps;
-    bp.cancel = budget;
-    bp.recorder = rec;
-    bp.sweep_counter = m_sweeps;
-    bp.replica_sweep_counter = m_replica_sweeps;
-    bp.flight = params_.flight;
-    bp.flight_name = f_batch;
-    bp.flight_rid = params_.flight_rid;
-    const BatchedCqmAnnealer annealer(bp);
-
-    const std::size_t max_rounds =
-        std::max<std::size_t>(1, params_.max_penalty_rounds);
-    for (std::size_t round = 0; round < max_rounds; ++round) {
-      std::vector<BatchedLaneSpec> specs;
-      std::vector<Lane*> active;
-      for (auto& lane : lanes) {
-        if (lane.done) continue;
-        BatchedLaneSpec spec;
-        spec.rng = &lane.rng;
-        spec.initial = &lane.init;
-        spec.penalties = &lane.penalties;
-        spec.refinement = lane.refine;
-        spec.trace_track = lane.track;
-        specs.push_back(spec);
-        active.push_back(&lane);
-        ++lane.rounds;
-      }
-      if (active.empty()) break;
-      auto samples = annealer.anneal_lanes(cqm, specs, &pair_index);
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        Lane& lane = *active[i];
-        Sample s = std::move(samples[i]);
-        polish(s, lane.penalties, lane.rng, lane.track);
-        if (!lane.have_sample || s.better_than(lane.best)) {
-          lane.best = s;
-          lane.have_sample = true;
-        }
-        if (s.feasible || budget.expired()) {
-          lane.done = true;  // keep the incumbent; skip escalation
-          continue;
-        }
-        escalate(s, lane.penalties, lane.track);
-        lane.init = std::move(s.state);  // warm start the next round
-      }
-    }
-    for (auto& lane : lanes) {
-      if (lane.have_sample) results[lane.r] = std::move(lane.best);
-      rounds_by_restart[lane.r] = lane.rounds;
-    }
-  };
-
-  // The tempering restart keeps resident replicas of its own (one walk per
-  // ladder configuration) and so runs as its own unit.
-  auto run_tempered_restart = [&](std::size_t r) {
+  // One restart: penalty rounds of anneal (or the tempering ladder) plus
+  // polish, all on the restart's own pre-split stream, so neither chunking
+  // nor threading changes its samples. Runs on a pool worker thread; the
+  // phase/rid scopes must live here for profile samples to attribute.
+  auto run_restart = [&](std::size_t r, bool tempered) {
     if (r > 0 && budget.expired()) {
       return;  // keep at least one restart so solve() always has an incumbent
     }
     util::Rng rng = streams[r];
     std::vector<double> penalties = base_penalties;
-    model::State init = random_state(cqm.num_variables(), rng);
+    const bool refine = !tempered && r == 0 && refinement_available;
+    model::State init;
+    if (refine) {
+      init = have_hint ? params_.initial_hint : model::State(cqm.num_variables(), 0);
+    } else {
+      init = random_state(cqm.num_variables(), rng);
+    }
     apply_fixings(init, pre);
 
     Sample best_of_restart;
     bool have_sample = false;
     std::size_t rounds = 0;
+    // Each restart renders on its own trace track so the portfolio members
+    // line up side by side in the viewer.
     const auto track = restart_track_base + static_cast<std::uint32_t>(r);
     if (rec != nullptr) {
-      rec->name_track(track, "restart " + std::to_string(r) + " (tempering)");
+      std::string label = "restart " + std::to_string(r);
+      if (refine) label += " (refine)";
+      if (tempered) label += " (tempering)";
+      rec->name_track(track, std::move(label));
     }
     obs::prof::RidScope rid_scope(params_.flight_rid);
-    obs::prof::PhaseScope tempered_phase("restart");
+    obs::prof::PhaseScope restart_phase("restart");
     obs::Recorder::Span restart_span(rec, "restart", "hybrid", track);
 
     for (std::size_t round = 0;
          round < std::max<std::size_t>(1, params_.max_penalty_rounds); ++round) {
       ++rounds;
-      TemperingParams tp;
-      tp.num_replicas = params_.tempering_replicas;
-      tp.sweeps = params_.sweeps / 2 + 1;
-      tp.seed = rng.next_u64();
-      tp.threads = tempering_threads;
-      tp.cancel = budget;
-      tp.recorder = rec;
-      tp.trace_track = track;
-      tp.sweep_counter = m_sweeps;
-      tp.replica_sweep_counter = m_replica_sweeps;
-      tp.flight = params_.flight;
-      tp.flight_name = f_temper;
-      tp.flight_rid = params_.flight_rid;
-      Sample s = ParallelTempering(tp).run(cqm, penalties, init, &pair_index);
+      Sample s;
+      if (tempered) {
+        TemperingParams tp;
+        tp.num_replicas = params_.tempering_replicas;
+        tp.sweeps = params_.sweeps / 2 + 1;
+        tp.seed = rng.next_u64();
+        tp.threads = tempering_threads;
+        tp.cancel = budget;
+        tp.recorder = rec;
+        tp.trace_track = track;
+        tp.sweep_counter = m_sweeps;
+        tp.replica_sweep_counter = m_replica_sweeps;
+        tp.flight = params_.flight;
+        tp.flight_name = f_temper;
+        tp.flight_rid = params_.flight_rid;
+        s = ParallelTempering(tp).run(cqm, penalties, init, &pair_index);
+      } else {
+        CqmAnnealParams ap;
+        ap.sweeps = params_.sweeps;
+        ap.refinement = refine;
+        ap.cancel = budget;
+        ap.recorder = rec;
+        ap.trace_track = track;
+        ap.sweep_counter = m_sweeps;
+        ap.replica_sweep_counter = m_replica_sweeps;
+        ap.flight = params_.flight;
+        ap.flight_name = f_anneal;
+        ap.flight_rid = params_.flight_rid;
+        s = CqmAnnealer(ap).anneal_once(cqm, penalties, rng, init, nullptr,
+                                        &pair_index);
+      }
 
       polish(s, penalties, rng, track);
       if (!have_sample || s.better_than(best_of_restart)) {
@@ -556,16 +481,18 @@ HybridSolveResult HybridCqmSolver::solve(const CqmModel& cqm) const {
     rounds_by_restart[r] = rounds;
   };
 
+  // A chunk runs its restarts one after another on one thread.
   auto run_unit = [&](std::size_t u) {
     if (u < num_chunks) {
-      const std::size_t r_begin = u * bank_width;
-      run_bank_chunk(r_begin, std::min(banked_restarts, r_begin + bank_width));
+      const std::size_t r_begin = u * chunk_width;
+      const std::size_t r_end = std::min(chunked_restarts, r_begin + chunk_width);
+      for (std::size_t r = r_begin; r < r_end; ++r) run_restart(r, false);
     } else {
-      run_tempered_restart(total_restarts - 1);
+      run_restart(total_restarts - 1, true);
     }
   };
 
-  // Restart lanes and the tempering ladder read the model's lazily built CSR
+  // Restarts and the tempering ladder read the model's lazily built CSR
   // incidence from several threads; build it once here, before any of them.
   (void)cqm.group_kernel();
   if (threads <= 1 || num_units <= 1) {

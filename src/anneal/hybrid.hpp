@@ -41,12 +41,10 @@ struct HybridSolverParams {
   /// slot draws from a pre-split RNG stream, and results merge in a fixed
   /// order, so the outcome is bitwise identical for any thread count.
   std::size_t threads = 0;
-  /// Restarts per work unit: non-tempered restarts run in fixed chunks of
-  /// this size (chunking is independent of `threads`), each chunk one
-  /// BatchedCqmAnnealer call whose lanes step interleaved on one thread. Each
-  /// lane walks its own CqmIncrementalState and replays the scalar
-  /// per-restart chain bit for bit, so any width produces the same samples.
-  /// 0 or 1 degenerates to one restart per unit.
+  /// Restarts per work unit, run in sequence on one thread: non-tempered
+  /// restarts form fixed chunks of this size (chunking is independent of
+  /// `threads`). Each restart anneals on its own pre-split stream, so any
+  /// width produces the same samples. 0 or 1 means one restart per unit.
   std::size_t replica_lanes = 8;
   /// Free-variable count (after presolve) at or below which the solver skips
   /// sampling entirely and enumerates every assignment with a Gray-code walk
@@ -94,8 +92,8 @@ struct HybridSolverParams {
   /// queue spans and the BSP rank tracks without row collisions. Same
   /// zero-cost-off discipline as `recorder`.
   obs::TraceContext trace;
-  /// Optional always-on flight ring: the portfolio's batched/tempering
-  /// engines each leave one compact span per call, stamped with
+  /// Optional always-on flight ring: each restart's anneal and tempering
+  /// rounds leave one compact span per call, stamped with
   /// `flight_rid` so an anomaly dump can slice out the triggering request's
   /// solver activity retroactively. Same null discipline as `recorder`.
   obs::FlightRecorder* flight = nullptr;

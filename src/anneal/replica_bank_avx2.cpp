@@ -1,6 +1,6 @@
-// AVX2 twins of the scalar replica-bank kernels. This TU is compiled with
+// AVX2 twin of the scalar QUBO bank construct kernel. This TU is compiled with
 // -mavx2 (and deliberately not -mfma: contraction would change rounding and
-// break bitwise identity with the scalar kernels) and is only entered behind
+// break bitwise identity with the scalar kernel) and is only entered behind
 // the CPUID dispatch in anneal/simd.cpp.
 //
 // Vectorization discipline: lanes map to vector elements, so every vector
@@ -14,8 +14,6 @@
 #if QULRB_HAVE_AVX2
 
 #include <immintrin.h>
-
-#include <limits>
 
 namespace qulrb::anneal::detail {
 
@@ -39,323 +37,7 @@ inline __m256d select(__m256d mask, __m256d on_true, __m256d on_false) noexcept 
   return _mm256_blendv_pd(on_false, on_true, mask);
 }
 
-/// Vector twin of violation_branchless / CqmModel::violation_of. vmaxpd
-/// returns its second operand on equality, which reproduces the scalar
-/// ternaries exactly (see the equivalence notes in replica_bank.hpp).
-inline __m256d violation(model::Sense sense, __m256d activity,
-                         __m256d rhs) noexcept {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d over = _mm256_sub_pd(activity, rhs);
-  switch (sense) {
-    case model::Sense::LE:
-      return _mm256_max_pd(over, zero);
-    case model::Sense::GE:
-      return _mm256_max_pd(_mm256_sub_pd(rhs, activity), zero);
-    case model::Sense::EQ:
-      return _mm256_max_pd(over, _mm256_sub_pd(rhs, activity));
-  }
-  return zero;
-}
-
 }  // namespace
-
-void cqm_construct_lanes_avx2(const CqmBankView& bank) noexcept {
-  const model::CqmModel& cqm = *bank.cqm;
-  const auto groups = cqm.squared_groups();
-  const auto constraints = cqm.constraints();
-  const std::size_t stride = bank.stride;
-  for (std::size_t base = 0; base < stride; base += 4) {
-    __m256d obj = _mm256_set1_pd(cqm.objective_offset());
-    for (model::VarId v = 0; v < bank.num_vars; ++v) {
-      const __m256d m = lane_mask(bank.bits, bank.words_per_var, v, base);
-      const __m256d added = _mm256_add_pd(obj, _mm256_set1_pd(bank.linear[v]));
-      obj = select(m, added, obj);
-    }
-    for (const auto& q : cqm.objective_quadratic()) {
-      const __m256d mi = lane_mask(bank.bits, bank.words_per_var, q.i, base);
-      const __m256d mj = lane_mask(bank.bits, bank.words_per_var, q.j, base);
-      const __m256d m = _mm256_and_pd(mi, mj);
-      const __m256d added = _mm256_add_pd(obj, _mm256_set1_pd(q.coeff));
-      obj = select(m, added, obj);
-    }
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      __m256d gv = _mm256_set1_pd(groups[g].expr.constant());
-      for (const auto& t : groups[g].expr.terms()) {
-        const __m256d m = lane_mask(bank.bits, bank.words_per_var, t.var, base);
-        const __m256d added = _mm256_add_pd(gv, _mm256_set1_pd(t.coeff));
-        gv = select(m, added, gv);
-      }
-      _mm256_storeu_pd(bank.group_values + g * stride + base, gv);
-      const __m256d w = _mm256_set1_pd(groups[g].weight);
-      obj = _mm256_add_pd(obj, _mm256_mul_pd(_mm256_mul_pd(w, gv), gv));
-    }
-    _mm256_storeu_pd(bank.objective + base, obj);
-
-    __m256d pen = _mm256_setzero_pd();
-    for (std::size_t c = 0; c < constraints.size(); ++c) {
-      __m256d act = _mm256_set1_pd(constraints[c].lhs.constant());
-      for (const auto& t : constraints[c].lhs.terms()) {
-        const __m256d m = lane_mask(bank.bits, bank.words_per_var, t.var, base);
-        const __m256d added = _mm256_add_pd(act, _mm256_set1_pd(t.coeff));
-        act = select(m, added, act);
-      }
-      _mm256_storeu_pd(bank.activities + c * stride + base, act);
-      const __m256d pw = _mm256_loadu_pd(bank.penalty_weights + c * stride + base);
-      const __m256d viol =
-          violation(bank.sense[c], act, _mm256_set1_pd(bank.rhs[c]));
-      pen = _mm256_add_pd(pen, _mm256_mul_pd(pw, viol));
-    }
-    _mm256_storeu_pd(bank.penalty + base, pen);
-  }
-}
-
-void cqm_batched_flip_delta_avx2(const CqmBankView& bank, model::VarId v,
-                                 CqmIncrementalState::FlipDelta* out) noexcept {
-  const std::size_t stride = bank.stride;
-  const auto quad_row = (*bank.quad_inc)[v];
-  const auto kernel_row = (*bank.group_kernel)[v];
-  const auto con_row = (*bank.con_inc)[v];
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d minus_one = _mm256_set1_pd(-1.0);
-  alignas(32) double obj_lanes[4];
-  alignas(32) double pen_lanes[4];
-  for (std::size_t base = 0; base < stride; base += 4) {
-    if (base >= bank.num_lanes) break;
-    const __m256d mv = lane_mask(bank.bits, bank.words_per_var, v, base);
-    const __m256d sign = select(mv, minus_one, one);
-    __m256d obj = _mm256_mul_pd(sign, _mm256_set1_pd(bank.linear[v]));
-    for (const auto& nb : quad_row) {
-      const __m256d m = lane_mask(bank.bits, bank.words_per_var, nb.other, base);
-      const __m256d added = _mm256_add_pd(
-          obj, _mm256_mul_pd(sign, _mm256_set1_pd(nb.coeff)));
-      obj = select(m, added, obj);
-    }
-    for (const auto& t : kernel_row) {
-      const __m256d gv = _mm256_loadu_pd(bank.group_values + t.index * stride + base);
-      const __m256d sa = _mm256_mul_pd(sign, _mm256_set1_pd(t.alpha));
-      const __m256d addend =
-          _mm256_add_pd(_mm256_mul_pd(sa, gv), _mm256_set1_pd(t.beta));
-      obj = _mm256_add_pd(obj, addend);
-    }
-    __m256d pen = _mm256_setzero_pd();
-    for (const auto& inc : con_row) {
-      const std::size_t c = inc.index;
-      const __m256d act = _mm256_loadu_pd(bank.activities + c * stride + base);
-      const __m256d pw = _mm256_loadu_pd(bank.penalty_weights + c * stride + base);
-      const __m256d rhs = _mm256_set1_pd(bank.rhs[c]);
-      const __m256d nact =
-          _mm256_add_pd(act, _mm256_mul_pd(sign, _mm256_set1_pd(inc.coeff)));
-      const __m256d term =
-          _mm256_sub_pd(_mm256_mul_pd(pw, violation(bank.sense[c], nact, rhs)),
-                        _mm256_mul_pd(pw, violation(bank.sense[c], act, rhs)));
-      pen = _mm256_add_pd(pen, term);
-    }
-    _mm256_store_pd(obj_lanes, obj);
-    _mm256_store_pd(pen_lanes, pen);
-    const std::size_t count =
-        bank.num_lanes - base < 4 ? bank.num_lanes - base : 4;
-    for (std::size_t j = 0; j < count; ++j) {
-      out[base + j].objective = obj_lanes[j];
-      out[base + j].penalty = pen_lanes[j];
-    }
-  }
-}
-
-void cqm_batched_pair_delta_avx2(const CqmBankView& bank, model::VarId a,
-                                 model::VarId b,
-                                 CqmIncrementalState::FlipDelta* out) noexcept {
-  const std::size_t stride = bank.stride;
-  const auto quad_a = (*bank.quad_inc)[a];
-  const auto quad_b = (*bank.quad_inc)[b];
-  const auto group_a = (*bank.group_inc)[a];
-  const auto group_b = (*bank.group_inc)[b];
-  const auto con_a = (*bank.con_inc)[a];
-  const auto con_b = (*bank.con_inc)[b];
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d minus_one = _mm256_set1_pd(-1.0);
-  const __m256d zero = _mm256_setzero_pd();
-  alignas(32) double obj_lanes[4];
-  alignas(32) double pen_lanes[4];
-  for (std::size_t base = 0; base < stride; base += 4) {
-    if (base >= bank.num_lanes) break;
-    const __m256d ma = lane_mask(bank.bits, bank.words_per_var, a, base);
-    const __m256d mb = lane_mask(bank.bits, bank.words_per_var, b, base);
-    const __m256d sign_a = select(ma, minus_one, one);
-    const __m256d sign_b = select(mb, minus_one, one);
-    __m256d obj =
-        _mm256_add_pd(_mm256_mul_pd(sign_a, _mm256_set1_pd(bank.linear[a])),
-                      _mm256_mul_pd(sign_b, _mm256_set1_pd(bank.linear[b])));
-
-    for (const auto& nb : quad_a) {
-      if (nb.other == b) {
-        const __m256d before = select(_mm256_and_pd(ma, mb), one, zero);
-        const __m256d after = select(_mm256_or_pd(ma, mb), zero, one);
-        obj = _mm256_add_pd(obj, _mm256_mul_pd(_mm256_set1_pd(nb.coeff),
-                                               _mm256_sub_pd(after, before)));
-      } else {
-        const __m256d m = lane_mask(bank.bits, bank.words_per_var, nb.other, base);
-        const __m256d added = _mm256_add_pd(
-            obj, _mm256_mul_pd(sign_a, _mm256_set1_pd(nb.coeff)));
-        obj = select(m, added, obj);
-      }
-    }
-    for (const auto& nb : quad_b) {
-      if (nb.other != a) {
-        const __m256d m = lane_mask(bank.bits, bank.words_per_var, nb.other, base);
-        const __m256d added = _mm256_add_pd(
-            obj, _mm256_mul_pd(sign_b, _mm256_set1_pd(nb.coeff)));
-        obj = select(m, added, obj);
-      }
-    }
-
-    {
-      std::size_t ia = 0;
-      std::size_t ib = 0;
-      while (ia < group_a.size() || ib < group_b.size()) {
-        std::uint32_t g;
-        __m256d d;
-        if (ib == group_b.size() ||
-            (ia < group_a.size() && group_a[ia].index < group_b[ib].index)) {
-          g = group_a[ia].index;
-          d = _mm256_mul_pd(sign_a, _mm256_set1_pd(group_a[ia].coeff));
-          ++ia;
-        } else if (ia == group_a.size() ||
-                   group_b[ib].index < group_a[ia].index) {
-          g = group_b[ib].index;
-          d = _mm256_mul_pd(sign_b, _mm256_set1_pd(group_b[ib].coeff));
-          ++ib;
-        } else {
-          g = group_a[ia].index;
-          d = _mm256_add_pd(
-              _mm256_mul_pd(sign_a, _mm256_set1_pd(group_a[ia].coeff)),
-              _mm256_mul_pd(sign_b, _mm256_set1_pd(group_b[ib].coeff)));
-          ++ia;
-          ++ib;
-        }
-        const __m256d gv = _mm256_loadu_pd(bank.group_values + g * stride + base);
-        // w * (2 * gv * d + d * d), in the scalar evaluation order.
-        const __m256d two_gv_d =
-            _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(2.0), gv), d);
-        const __m256d sum = _mm256_add_pd(two_gv_d, _mm256_mul_pd(d, d));
-        obj = _mm256_add_pd(
-            obj, _mm256_mul_pd(_mm256_set1_pd(bank.group_weights[g]), sum));
-      }
-    }
-
-    __m256d pen = _mm256_setzero_pd();
-    {
-      std::size_t ia = 0;
-      std::size_t ib = 0;
-      while (ia < con_a.size() || ib < con_b.size()) {
-        std::uint32_t c;
-        __m256d d;
-        if (ib == con_b.size() ||
-            (ia < con_a.size() && con_a[ia].index < con_b[ib].index)) {
-          c = con_a[ia].index;
-          d = _mm256_mul_pd(sign_a, _mm256_set1_pd(con_a[ia].coeff));
-          ++ia;
-        } else if (ia == con_a.size() || con_b[ib].index < con_a[ia].index) {
-          c = con_b[ib].index;
-          d = _mm256_mul_pd(sign_b, _mm256_set1_pd(con_b[ib].coeff));
-          ++ib;
-        } else {
-          c = con_a[ia].index;
-          d = _mm256_add_pd(
-              _mm256_mul_pd(sign_a, _mm256_set1_pd(con_a[ia].coeff)),
-              _mm256_mul_pd(sign_b, _mm256_set1_pd(con_b[ib].coeff)));
-          ++ia;
-          ++ib;
-        }
-        const __m256d act = _mm256_loadu_pd(bank.activities + c * stride + base);
-        const __m256d pw =
-            _mm256_loadu_pd(bank.penalty_weights + c * stride + base);
-        const __m256d rhs = _mm256_set1_pd(bank.rhs[c]);
-        const __m256d nact = _mm256_add_pd(act, d);
-        const __m256d term = _mm256_sub_pd(
-            _mm256_mul_pd(pw, violation(bank.sense[c], nact, rhs)),
-            _mm256_mul_pd(pw, violation(bank.sense[c], act, rhs)));
-        pen = _mm256_add_pd(pen, term);
-      }
-    }
-    _mm256_store_pd(obj_lanes, obj);
-    _mm256_store_pd(pen_lanes, pen);
-    const std::size_t count =
-        bank.num_lanes - base < 4 ? bank.num_lanes - base : 4;
-    for (std::size_t j = 0; j < count; ++j) {
-      out[base + j].objective = obj_lanes[j];
-      out[base + j].penalty = pen_lanes[j];
-    }
-  }
-}
-
-void cqm_batched_apply_flip_avx2(const CqmBankView& bank, model::VarId v,
-                                 const std::uint8_t* accept) noexcept {
-  const std::size_t stride = bank.stride;
-  const auto quad_row = (*bank.quad_inc)[v];
-  const auto kernel_row = (*bank.group_kernel)[v];
-  const auto con_row = (*bank.con_inc)[v];
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d minus_one = _mm256_set1_pd(-1.0);
-  for (std::size_t base = 0; base < bank.num_lanes; base += 4) {
-    const std::size_t count =
-        bank.num_lanes - base < 4 ? bank.num_lanes - base : 4;
-    long long acc[4] = {0, 0, 0, 0};
-    std::uint64_t toggle = 0;
-    for (std::size_t j = 0; j < count; ++j) {
-      if (accept[base + j] != 0) {
-        acc[j] = -1;
-        toggle |= std::uint64_t{1} << ((base + j) & 63u);
-      }
-    }
-    if (toggle == 0) continue;
-    const __m256d am =
-        _mm256_castsi256_pd(_mm256_set_epi64x(acc[3], acc[2], acc[1], acc[0]));
-
-    const __m256d mv = lane_mask(bank.bits, bank.words_per_var, v, base);
-    const __m256d sign = select(mv, minus_one, one);
-    const __m256d obj_old = _mm256_loadu_pd(bank.objective + base);
-    __m256d obj =
-        _mm256_add_pd(obj_old, _mm256_mul_pd(sign, _mm256_set1_pd(bank.linear[v])));
-    for (const auto& nb : quad_row) {
-      const __m256d m = lane_mask(bank.bits, bank.words_per_var, nb.other, base);
-      const __m256d added =
-          _mm256_add_pd(obj, _mm256_mul_pd(sign, _mm256_set1_pd(nb.coeff)));
-      obj = select(m, added, obj);
-    }
-    for (const auto& t : kernel_row) {
-      double* gv_ptr = bank.group_values + t.index * stride + base;
-      const __m256d gv = _mm256_loadu_pd(gv_ptr);
-      const __m256d sa = _mm256_mul_pd(sign, _mm256_set1_pd(t.alpha));
-      obj = _mm256_add_pd(
-          obj, _mm256_add_pd(_mm256_mul_pd(sa, gv), _mm256_set1_pd(t.beta)));
-      const __m256d gv_new =
-          _mm256_add_pd(gv, _mm256_mul_pd(sign, _mm256_set1_pd(t.coeff)));
-      _mm256_storeu_pd(gv_ptr, select(am, gv_new, gv));
-    }
-    _mm256_storeu_pd(bank.objective + base, select(am, obj, obj_old));
-
-    const __m256d pen_old = _mm256_loadu_pd(bank.penalty + base);
-    __m256d pen = pen_old;
-    for (const auto& inc : con_row) {
-      const std::size_t c = inc.index;
-      double* act_ptr = bank.activities + c * stride + base;
-      const __m256d act = _mm256_loadu_pd(act_ptr);
-      const __m256d pw =
-          _mm256_loadu_pd(bank.penalty_weights + c * stride + base);
-      const __m256d rhs = _mm256_set1_pd(bank.rhs[c]);
-      const __m256d nact =
-          _mm256_add_pd(act, _mm256_mul_pd(sign, _mm256_set1_pd(inc.coeff)));
-      const __m256d term = _mm256_sub_pd(
-          _mm256_mul_pd(pw, violation(bank.sense[c], nact, rhs)),
-          _mm256_mul_pd(pw, violation(bank.sense[c], act, rhs)));
-      pen = _mm256_add_pd(pen, term);
-      _mm256_storeu_pd(act_ptr, select(am, nact, act));
-    }
-    _mm256_storeu_pd(bank.penalty + base, select(am, pen, pen_old));
-
-    bank.bits[v * bank.words_per_var + (base >> 6)] ^= toggle;
-  }
-}
 
 void qubo_construct_lanes_avx2(const QuboBankView& bank) noexcept {
   const model::QuboModel& qubo = *bank.qubo;
@@ -387,72 +69,6 @@ void qubo_construct_lanes_avx2(const QuboBankView& bank) noexcept {
       _mm256_storeu_pd(bank.deltas + v * stride + base, delta);
     }
   }
-}
-
-std::size_t tabu_argmin_avx2(const double* deltas, const std::size_t* tabu_until,
-                             std::size_t n, std::size_t iteration, double energy,
-                             double best_energy) noexcept {
-  const double inf = std::numeric_limits<double>::infinity();
-  std::size_t chosen = n;
-  double chosen_delta = inf;
-  const std::size_t n4 = n & ~std::size_t{3};
-  if (n4 > 0) {
-    const __m256d inf_v = _mm256_set1_pd(inf);
-    const __m256d energy_v = _mm256_set1_pd(energy);
-    const __m256d thresh = _mm256_set1_pd(best_energy - 1e-12);
-    const __m256i iter_v =
-        _mm256_set1_epi64x(static_cast<long long>(iteration));
-    __m256d vmin = inf_v;
-    __m256i vidx = _mm256_set1_epi64x(static_cast<long long>(n));
-    __m256i cur = _mm256_set_epi64x(3, 2, 1, 0);
-    const __m256i four = _mm256_set1_epi64x(4);
-    for (std::size_t v = 0; v < n4; v += 4) {
-      const __m256d d = _mm256_loadu_pd(deltas + v);
-      const __m256i tu = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(tabu_until + v));
-      // Admissible = not tabu (iteration > tabu_until) or aspirating
-      // (energy + delta < best_energy - 1e-12). Tenures stay far below 2^63,
-      // so the signed 64-bit compare is exact.
-      const __m256d not_tabu =
-          _mm256_castsi256_pd(_mm256_cmpgt_epi64(iter_v, tu));
-      const __m256d asp =
-          _mm256_cmp_pd(_mm256_add_pd(energy_v, d), thresh, _CMP_LT_OQ);
-      const __m256d admissible = _mm256_or_pd(not_tabu, asp);
-      const __m256d cand = _mm256_blendv_pd(inf_v, d, admissible);
-      // Strict-less update keeps the earliest index per slot, matching the
-      // scalar scan's first-min-wins rule.
-      const __m256d lt = _mm256_cmp_pd(cand, vmin, _CMP_LT_OQ);
-      vmin = _mm256_blendv_pd(vmin, cand, lt);
-      vidx = _mm256_castpd_si256(_mm256_blendv_pd(
-          _mm256_castsi256_pd(vidx), _mm256_castsi256_pd(cur), lt));
-      cur = _mm256_add_epi64(cur, four);
-    }
-    alignas(32) double mins[4];
-    alignas(32) long long idxs[4];
-    _mm256_store_pd(mins, vmin);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(idxs), vidx);
-    for (int j = 0; j < 4; ++j) {
-      if (mins[j] < chosen_delta) chosen_delta = mins[j];
-    }
-    if (chosen_delta < inf) {
-      for (int j = 0; j < 4; ++j) {
-        if (mins[j] == chosen_delta &&
-            static_cast<std::size_t>(idxs[j]) < chosen) {
-          chosen = static_cast<std::size_t>(idxs[j]);
-        }
-      }
-    }
-  }
-  for (std::size_t v = n4; v < n; ++v) {
-    const bool tabu = tabu_until[v] >= iteration;
-    const bool aspirates = energy + deltas[v] < best_energy - 1e-12;
-    if (tabu && !aspirates) continue;
-    if (deltas[v] < chosen_delta) {
-      chosen_delta = deltas[v];
-      chosen = v;
-    }
-  }
-  return chosen;
 }
 
 }  // namespace qulrb::anneal::detail

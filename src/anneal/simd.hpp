@@ -2,11 +2,12 @@
 
 namespace qulrb::anneal::simd {
 
-/// Instruction-set level used by the batched replica-bank kernels.
+/// Instruction-set level used by the QUBO replica bank's construct kernel
+/// (the one dispatched kernel; simulated annealing's batched reads run it).
 ///
 /// Dispatch is two-stage: the `QULRB_SIMD` CMake option decides whether the
 /// AVX2 translation unit is compiled at all, and at runtime the highest level
-/// the CPU supports is selected once via CPUID. Every vector kernel has a
+/// the CPU supports is selected once via CPUID. The vector kernel has a
 /// scalar twin that produces bitwise-identical results (the vector lanes
 /// replicate the scalar per-replica operation order exactly), so the level
 /// is a pure performance knob — solver output never depends on it.

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "anneal/hybrid.hpp"
@@ -114,6 +115,35 @@ TEST(Cancel, HybridStopsWhenTokenTrippedMidSolve) {
   EXPECT_LT(timer.elapsed_ms(), 2000.0);
   EXPECT_TRUE(result.stats.budget_expired);
   ASSERT_EQ(result.best.state.size(), lrp_cqm.cqm().num_variables());
+}
+
+// Restarts of one chunk run in sequence, so a budget that expires during
+// restart 0 keeps restarts 1..3 from starting. Restart 0 always runs and
+// always yields a sample, so a one-sample result is restart 0's incumbent.
+TEST(Cancel, HybridBudgetExpiryInFirstRestartSkipsRestOfChunk) {
+  const lrp::LrpCqm lrp_cqm(big_problem(), lrp::CqmVariant::kReduced, 64);
+  const model::CqmModel& cqm = lrp_cqm.cqm();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    anneal::HybridSolverParams params;
+    params.num_restarts = 4;
+    params.replica_lanes = 4;       // one chunk holds every restart
+    params.use_tempering = false;   // and it is the only work unit
+    params.sweeps = 500'000;        // far beyond the budget on purpose
+    params.seed = 3;
+    params.threads = threads;
+    params.time_limit_ms = 50.0;
+    const anneal::HybridSolveResult result = anneal::HybridCqmSolver(params).solve(cqm);
+    EXPECT_TRUE(result.stats.budget_expired);
+    EXPECT_EQ(result.stats.restarts_used, 1u);
+    ASSERT_EQ(result.samples.size(), 1u);
+    const anneal::Sample& only = result.samples.at(0);
+    EXPECT_EQ(result.best.state, only.state);
+    EXPECT_EQ(result.best.energy, only.energy);
+    ASSERT_EQ(only.state.size(), cqm.num_variables());
+    EXPECT_NEAR(only.energy, cqm.objective_value(only.state), 1e-6);
+    EXPECT_NEAR(only.violation, cqm.total_violation(only.state), 1e-6);
+  }
 }
 
 TEST(Cancel, InertTokenPreservesDeterminism) {

@@ -74,198 +74,6 @@ void expect_sample_eq(const Sample& a, const Sample& b) {
   EXPECT_EQ(a.feasible, b.feasible);
 }
 
-void expect_rng_eq(util::Rng a, util::Rng b) {
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
-}
-
-// ------------------------------------------------ bank primitives vs scalar -
-
-// Drive R bank lanes and R CqmIncrementalState walks through the same random
-// op sequence (flip deltas, pair deltas, commits, penalty swaps) and require
-// every observable to stay bitwise identical at every step.
-void check_bank_matches_incremental(lrp::CqmVariant variant, simd::Level level) {
-  const model::CqmModel cqm = build_cqm(variant);
-  const std::size_t n = cqm.num_variables();
-  const std::size_t c = cqm.num_constraints();
-  constexpr std::size_t kLanes = 5;  // not a multiple of the vector width
-
-  util::Rng setup(42);
-  std::vector<model::State> starts;
-  std::vector<std::vector<double>> penalties;
-  for (std::size_t r = 0; r < kLanes; ++r) {
-    starts.push_back(random_state(n, setup));
-    penalties.emplace_back(c, 1.0 + static_cast<double>(r));
-  }
-
-  SimdLevelGuard guard(level);
-  CqmReplicaBank bank(cqm, starts, penalties);
-  std::vector<CqmIncrementalState> ref;
-  for (std::size_t r = 0; r < kLanes; ++r) {
-    ref.emplace_back(cqm, starts[r], penalties[r]);
-  }
-
-  auto check_lane = [&](std::size_t r) {
-    EXPECT_EQ(bank.objective(r), ref[r].objective());
-    EXPECT_EQ(bank.penalty_energy(r), ref[r].penalty_energy());
-    EXPECT_EQ(bank.total_energy(r), ref[r].total_energy());
-    EXPECT_EQ(bank.total_violation(r), ref[r].total_violation());
-    EXPECT_EQ(bank.feasible(r), ref[r].feasible());
-    EXPECT_EQ(bank.extract_state(r), ref[r].state());
-  };
-  for (std::size_t r = 0; r < kLanes; ++r) check_lane(r);
-
-  util::Rng ops(7);
-  for (std::size_t step = 0; step < 600; ++step) {
-    const std::size_t r = ops.next_below(kLanes);
-    const auto v = static_cast<model::VarId>(ops.next_below(n));
-    const auto w = static_cast<model::VarId>(ops.next_below(n));
-
-    const auto bd = bank.flip_delta_parts(r, v);
-    const auto rd = ref[r].flip_delta_parts(v);
-    ASSERT_EQ(bd.objective, rd.objective);
-    ASSERT_EQ(bd.penalty, rd.penalty);
-    if (v != w) {
-      const auto bp = bank.pair_delta_parts(r, v, w);
-      const auto rp = ref[r].pair_delta_parts(v, w);
-      ASSERT_EQ(bp.objective, rp.objective);
-      ASSERT_EQ(bp.penalty, rp.penalty);
-    }
-    EXPECT_EQ(bank.state_bit(r, v), ref[r].state_bit(v));
-
-    bank.apply_flip(r, v);
-    ref[r].apply_flip(v);
-    if (step % 97 == 0) {
-      std::vector<double> fresh(c, 1.0 + ops.next_double());
-      bank.set_penalties(r, fresh);
-      ref[r].set_penalties(fresh);
-    }
-    check_lane(r);
-  }
-}
-
-TEST(ReplicaBank, LaneMatchesIncrementalStateScalar_QCQM1) {
-  check_bank_matches_incremental(lrp::CqmVariant::kReduced, simd::Level::kScalar);
-}
-
-TEST(ReplicaBank, LaneMatchesIncrementalStateScalar_QCQM2) {
-  check_bank_matches_incremental(lrp::CqmVariant::kFull, simd::Level::kScalar);
-}
-
-TEST(ReplicaBank, LaneMatchesIncrementalStateSimd_QCQM1) {
-  if (!avx2_available()) GTEST_SKIP() << "AVX2 not available in this build";
-  check_bank_matches_incremental(lrp::CqmVariant::kReduced, simd::Level::kAvx2);
-}
-
-TEST(ReplicaBank, LaneMatchesIncrementalStateSimd_QCQM2) {
-  if (!avx2_available()) GTEST_SKIP() << "AVX2 not available in this build";
-  check_bank_matches_incremental(lrp::CqmVariant::kFull, simd::Level::kAvx2);
-}
-
-// The batched all-lane kernels must agree entry for entry with the per-lane
-// scalar calls, and a masked batched commit must match selective commits.
-void check_batched_kernels(simd::Level level) {
-  const model::CqmModel cqm = build_cqm(lrp::CqmVariant::kFull);
-  const std::size_t n = cqm.num_variables();
-  constexpr std::size_t kLanes = 7;
-
-  util::Rng setup(11);
-  std::vector<model::State> starts;
-  std::vector<std::vector<double>> penalties;
-  for (std::size_t r = 0; r < kLanes; ++r) {
-    starts.push_back(random_state(n, setup));
-    penalties.emplace_back(cqm.num_constraints(), 2.0);
-  }
-
-  SimdLevelGuard guard(level);
-  CqmReplicaBank bank(cqm, starts, penalties);
-  CqmReplicaBank mirror(cqm, starts, penalties);
-
-  util::Rng ops(13);
-  std::vector<CqmReplicaBank::FlipDelta> out(kLanes);
-  std::vector<std::uint8_t> accept(kLanes);
-  for (std::size_t step = 0; step < 300; ++step) {
-    const auto v = static_cast<model::VarId>(ops.next_below(n));
-    auto w = static_cast<model::VarId>(ops.next_below(n));
-    if (w == v) w = static_cast<model::VarId>((w + 1) % n);
-
-    bank.batched_flip_delta(v, out.data());
-    for (std::size_t r = 0; r < kLanes; ++r) {
-      const auto d = mirror.flip_delta_parts(r, v);
-      ASSERT_EQ(out[r].objective, d.objective);
-      ASSERT_EQ(out[r].penalty, d.penalty);
-    }
-    bank.batched_pair_delta(v, w, out.data());
-    for (std::size_t r = 0; r < kLanes; ++r) {
-      if (bank.state_bit(r, v) == bank.state_bit(r, w)) continue;
-      const auto d = mirror.pair_delta_parts(r, v, w);
-      ASSERT_EQ(out[r].objective, d.objective);
-      ASSERT_EQ(out[r].penalty, d.penalty);
-    }
-
-    for (auto& a : accept) a = static_cast<std::uint8_t>(ops.next_below(2));
-    bank.batched_apply_flip(v, accept.data());
-    for (std::size_t r = 0; r < kLanes; ++r) {
-      if (accept[r] != 0) mirror.apply_flip(r, v);
-      ASSERT_EQ(bank.objective(r), mirror.objective(r));
-      ASSERT_EQ(bank.penalty_energy(r), mirror.penalty_energy(r));
-      ASSERT_EQ(bank.state_bit(r, v), mirror.state_bit(r, v));
-    }
-  }
-  for (std::size_t r = 0; r < kLanes; ++r) {
-    EXPECT_EQ(bank.extract_state(r), mirror.extract_state(r));
-  }
-}
-
-TEST(ReplicaBank, BatchedKernelsMatchPerLaneScalar) {
-  check_batched_kernels(simd::Level::kScalar);
-}
-
-TEST(ReplicaBank, BatchedKernelsMatchPerLaneSimd) {
-  if (!avx2_available()) GTEST_SKIP() << "AVX2 not available in this build";
-  check_batched_kernels(simd::Level::kAvx2);
-}
-
-// One identical walk executed under both dispatch levels must leave the two
-// banks in bitwise-identical states: the level is a pure performance knob.
-TEST(ReplicaBank, SimdAndScalarWalksBitwiseIdentical) {
-  if (!avx2_available()) GTEST_SKIP() << "AVX2 not available in this build";
-  const model::CqmModel cqm = build_cqm(lrp::CqmVariant::kReduced);
-  const std::size_t n = cqm.num_variables();
-  constexpr std::size_t kLanes = 8;
-
-  util::Rng setup(3);
-  std::vector<model::State> starts;
-  std::vector<std::vector<double>> penalties;
-  for (std::size_t r = 0; r < kLanes; ++r) {
-    starts.push_back(random_state(n, setup));
-    penalties.emplace_back(cqm.num_constraints(), 4.0);
-  }
-
-  auto run_walk = [&](simd::Level level) {
-    SimdLevelGuard guard(level);
-    CqmReplicaBank bank(cqm, starts, penalties);
-    util::Rng ops(99);
-    std::vector<std::uint8_t> accept(kLanes);
-    for (std::size_t step = 0; step < 500; ++step) {
-      const auto v = static_cast<model::VarId>(ops.next_below(n));
-      for (auto& a : accept) a = static_cast<std::uint8_t>(ops.next_below(2));
-      bank.batched_apply_flip(v, accept.data());
-    }
-    std::vector<std::pair<double, double>> lanes;
-    std::vector<model::State> states;
-    for (std::size_t r = 0; r < kLanes; ++r) {
-      lanes.emplace_back(bank.objective(r), bank.penalty_energy(r));
-      states.push_back(bank.extract_state(r));
-    }
-    return std::make_pair(lanes, states);
-  };
-
-  const auto scalar = run_walk(simd::Level::kScalar);
-  const auto vec = run_walk(simd::Level::kAvx2);
-  EXPECT_EQ(scalar.first, vec.first);
-  EXPECT_EQ(scalar.second, vec.second);
-}
-
 // ------------------------------------------------------- QUBO replica bank --
 
 model::QuboModel random_qubo(std::size_t n, std::uint64_t seed) {
@@ -320,156 +128,6 @@ TEST(ReplicaBank, QuboLanesMatchDeltaCacheScalar) {
 TEST(ReplicaBank, QuboLanesMatchDeltaCacheSimd) {
   if (!avx2_available()) GTEST_SKIP() << "AVX2 not available in this build";
   check_qubo_bank(simd::Level::kAvx2);
-}
-
-// ----------------------------------------------- batched annealer contracts -
-
-// Exact per-lane mode: anneal_lanes with per-lane proposal streams must be
-// bitwise identical to R independent CqmAnnealer::anneal_once runs with the
-// same pre-split streams — samples and final RNG positions both match.
-void check_exact_mode(lrp::CqmVariant variant, std::size_t lanes,
-                      std::uint64_t seed) {
-  const model::CqmModel cqm = build_cqm(variant);
-  const std::size_t n = cqm.num_variables();
-  const PairMoveIndex pairs = PairMoveIndex::build(cqm);
-  const std::vector<double> penalties(cqm.num_constraints(), 2.0);
-
-  util::Rng master(seed);
-  std::vector<util::Rng> streams;
-  for (std::size_t r = 0; r < lanes; ++r) streams.push_back(master.split());
-  std::vector<model::State> inits;
-  {
-    util::Rng init_rng(seed ^ 0x5bd1e995u);
-    // Lane 0 refines the all-zeros point; the rest scramble random starts.
-    inits.emplace_back(n, 0);
-    for (std::size_t r = 1; r < lanes; ++r) inits.push_back(random_state(n, init_rng));
-  }
-
-  // Scalar oracle: one anneal_once per lane on a copy of its stream.
-  std::vector<util::Rng> scalar_streams = streams;
-  std::vector<Sample> expected;
-  for (std::size_t r = 0; r < lanes; ++r) {
-    CqmAnnealParams ap;
-    ap.sweeps = 50;
-    ap.refinement = (r == 0);
-    expected.push_back(CqmAnnealer(ap).anneal_once(cqm, penalties,
-                                                   scalar_streams[r], inits[r],
-                                                   nullptr, &pairs));
-  }
-
-  std::vector<util::Rng> bank_streams = streams;
-  std::vector<BatchedLaneSpec> specs(lanes);
-  for (std::size_t r = 0; r < lanes; ++r) {
-    specs[r].rng = &bank_streams[r];
-    specs[r].initial = &inits[r];
-    specs[r].penalties = &penalties;
-    specs[r].refinement = (r == 0);
-  }
-  BatchedCqmAnnealParams bp;
-  bp.sweeps = 50;
-  const std::vector<Sample> got =
-      BatchedCqmAnnealer(bp).anneal_lanes(cqm, specs, &pairs);
-
-  ASSERT_EQ(got.size(), lanes);
-  for (std::size_t r = 0; r < lanes; ++r) {
-    SCOPED_TRACE("lane " + std::to_string(r));
-    expect_sample_eq(got[r], expected[r]);
-    expect_rng_eq(bank_streams[r], scalar_streams[r]);
-  }
-}
-
-TEST(ReplicaBank, ExactModeMatchesScalarAnnealer_QCQM1) {
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-    for (const std::uint64_t seed : {7ull, 1234ull}) {
-      SCOPED_TRACE("lanes=" + std::to_string(lanes) +
-                   " seed=" + std::to_string(seed));
-      check_exact_mode(lrp::CqmVariant::kReduced, lanes, seed);
-    }
-  }
-}
-
-TEST(ReplicaBank, ExactModeMatchesScalarAnnealer_QCQM2) {
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("lanes=" + std::to_string(lanes));
-    check_exact_mode(lrp::CqmVariant::kFull, lanes, 99);
-  }
-}
-
-// Shared-proposal lockstep mode, run end to end under both dispatch levels:
-// per-lane samples and final stream positions must be bitwise identical.
-TEST(ReplicaBank, LockstepModeSimdScalarIdentical) {
-  if (!avx2_available()) GTEST_SKIP() << "AVX2 not available in this build";
-  const model::CqmModel cqm = build_cqm(lrp::CqmVariant::kReduced);
-  const PairMoveIndex pairs = PairMoveIndex::build(cqm);
-  const std::vector<double> penalties(cqm.num_constraints(), 2.0);
-  constexpr std::size_t kLanes = 8;
-
-  auto run = [&](simd::Level level) {
-    SimdLevelGuard guard(level);
-    util::Rng master(5);
-    std::vector<util::Rng> streams;
-    for (std::size_t r = 0; r < kLanes; ++r) streams.push_back(master.split());
-    std::vector<BatchedLaneSpec> specs(kLanes);
-    for (std::size_t r = 0; r < kLanes; ++r) {
-      specs[r].rng = &streams[r];
-      specs[r].penalties = &penalties;
-    }
-    BatchedCqmAnnealParams bp;
-    bp.sweeps = 40;
-    util::Rng proposal(17);
-    auto samples = BatchedCqmAnnealer(bp).anneal_lanes(cqm, specs, &pairs, &proposal);
-    return std::make_pair(std::move(samples), streams);
-  };
-
-  auto scalar = run(simd::Level::kScalar);
-  auto vec = run(simd::Level::kAvx2);
-  ASSERT_EQ(scalar.first.size(), vec.first.size());
-  for (std::size_t r = 0; r < kLanes; ++r) {
-    SCOPED_TRACE("lane " + std::to_string(r));
-    expect_sample_eq(scalar.first[r], vec.first[r]);
-    expect_rng_eq(scalar.second[r], vec.second[r]);
-  }
-}
-
-// In lockstep mode a lane's trajectory depends only on (proposal stream, its
-// own acceptance stream): the same lane run solo must reproduce its R = 8
-// result exactly, whatever the other lanes were doing.
-TEST(ReplicaBank, LockstepModeIndependentOfReplicaCount) {
-  const model::CqmModel cqm = build_cqm(lrp::CqmVariant::kReduced);
-  const PairMoveIndex pairs = PairMoveIndex::build(cqm);
-  const std::vector<double> penalties(cqm.num_constraints(), 2.0);
-  constexpr std::size_t kLanes = 8;
-
-  util::Rng master(5);
-  std::vector<util::Rng> streams;
-  for (std::size_t r = 0; r < kLanes; ++r) streams.push_back(master.split());
-
-  BatchedCqmAnnealParams bp;
-  bp.sweeps = 30;
-
-  std::vector<util::Rng> full_streams = streams;
-  std::vector<BatchedLaneSpec> specs(kLanes);
-  for (std::size_t r = 0; r < kLanes; ++r) {
-    specs[r].rng = &full_streams[r];
-    specs[r].penalties = &penalties;
-  }
-  util::Rng proposal_full(17);
-  const auto full =
-      BatchedCqmAnnealer(bp).anneal_lanes(cqm, specs, &pairs, &proposal_full);
-
-  for (const std::size_t r : {std::size_t{0}, std::size_t{3}, std::size_t{7}}) {
-    SCOPED_TRACE("lane " + std::to_string(r));
-    util::Rng solo_stream = streams[r];
-    BatchedLaneSpec solo;
-    solo.rng = &solo_stream;
-    solo.penalties = &penalties;
-    util::Rng proposal_solo(17);
-    const auto got = BatchedCqmAnnealer(bp).anneal_lanes(
-        cqm, std::span<const BatchedLaneSpec>(&solo, 1), &pairs, &proposal_solo);
-    ASSERT_EQ(got.size(), 1u);
-    expect_sample_eq(got[0], full[r]);
-    expect_rng_eq(solo_stream, full_streams[r]);
-  }
 }
 
 // --------------------------------------------------------- tempering swaps --
@@ -643,7 +301,7 @@ TEST(ReplicaBank, TemperingDeterministicAndCountsLaneSweeps) {
   expect_sample_eq(a, c);
 }
 
-// ------------------------------------------------------------ SA + tabu -----
+// ---------------------------------------------------------------------- SA --
 
 // SimulatedAnnealer::sample's bank-batched multi-read path must emit exactly
 // the sample set the legacy per-read scalar loop produced: one pre-split
@@ -665,49 +323,6 @@ TEST(ReplicaBank, SaBatchedReadsMatchScalarReads) {
     util::Rng rng = master.split();
     const Sample expected = annealer.anneal_once(qubo, rng);
     expect_sample_eq(got.at(read), expected);
-  }
-}
-
-// Dispatched tabu candidate scan vs a plain reference loop over admissibility
-// (not tabu, or aspirating) with the strict-less, lowest-index tie rule.
-TEST(ReplicaBank, TabuArgminMatchesReferenceScan) {
-  util::Rng gen(23);
-  for (std::size_t trial = 0; trial < 200; ++trial) {
-    const std::size_t n = 1 + gen.next_below(70);
-    std::vector<double> deltas(n);
-    std::vector<std::size_t> tabu_until(n);
-    const std::size_t iteration = gen.next_below(50);
-    // Quantized deltas force exact ties; generous tabu spans force both the
-    // all-tabu and the aspiration branches across trials.
-    for (std::size_t v = 0; v < n; ++v) {
-      deltas[v] = static_cast<double>(gen.next_in(-4, 4));
-      tabu_until[v] = gen.next_below(60);
-    }
-    const double energy = static_cast<double>(gen.next_in(-10, 10));
-    const double best_energy = static_cast<double>(gen.next_in(-10, 10));
-
-    std::size_t expected = n;
-    double best_delta = 0.0;
-    for (std::size_t v = 0; v < n; ++v) {
-      const bool tabu = tabu_until[v] >= iteration;
-      const bool aspirates = energy + deltas[v] < best_energy - 1e-12;
-      if (tabu && !aspirates) continue;
-      if (expected == n || deltas[v] < best_delta) {
-        expected = v;
-        best_delta = deltas[v];
-      }
-    }
-
-    {
-      SimdLevelGuard guard(simd::Level::kScalar);
-      EXPECT_EQ(tabu_argmin(deltas, tabu_until, iteration, energy, best_energy),
-                expected);
-    }
-    if (avx2_available()) {
-      SimdLevelGuard guard(simd::Level::kAvx2);
-      EXPECT_EQ(tabu_argmin(deltas, tabu_until, iteration, energy, best_energy),
-                expected);
-    }
   }
 }
 

@@ -180,7 +180,8 @@ TEST(MiniChameleon, RejectsNonUniformLoadPerProcess) {
 
 TEST(MiniChameleon, TaskwaitReportsSpeedup) {
   MiniChameleon cham(4, BspConfig{.comp_threads = 1, .iterations = 20,
-                                  .overlap_migration = true, .comm = {}});
+                                  .overlap_migration = true, .comm = {},
+                                  .trace = {}});
   cham.add_tasks(0, 5, 1.87);
   cham.add_tasks(1, 5, 1.97);
   cham.add_tasks(2, 5, 3.12);
